@@ -336,6 +336,13 @@ func runStreamingMetrics(ctx context.Context, o pond.FleetOpts, metricsPath stri
 // rows not yet drained when a signal lands ride inside the snapshot and
 // are appended after -resume.
 func runCheckpointable(ctx context.Context, o pond.FleetOpts, path string, resume bool, metricsPath string) (*pond.FleetReport, error) {
+	// Catch SIGINT/SIGTERM before the (possibly slow) restore or start,
+	// so a signal landing there is handled rather than killing the
+	// process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	var fr *pond.FleetRun
 	if resume {
 		data, err := os.ReadFile(path)
@@ -351,6 +358,15 @@ func runCheckpointable(ctx context.Context, o pond.FleetOpts, path string, resum
 			return nil, err
 		}
 		fmt.Printf("resumed from %s at t=%.0fs\n", path, fr.Now())
+		select {
+		case <-sig:
+			// Interrupted during restore: the snapshot on disk already
+			// holds exactly this state, so leave it untouched.
+			fmt.Printf("interrupted at t=%.0fs; snapshot %s unchanged (resume with -resume -checkpoint %s)\n",
+				fr.Now(), path, path)
+			return nil, nil
+		default:
+		}
 	} else {
 		var err error
 		fr, err = pond.StartFleet(ctx, o)
@@ -368,10 +384,6 @@ func runCheckpointable(ctx context.Context, o pond.FleetOpts, path string, resum
 		}
 		defer mw.Close()
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 
 	horizon := fr.Progress().DurationSec
 	slice := horizon / 64

@@ -88,11 +88,7 @@ func FitForest(X [][]float64, y []float64, cfg ForestConfig) *Forest {
 
 // PredictProb returns the ensemble mean output for one row.
 func (f *Forest) PredictProb(x []float64) float64 {
-	var sum float64
-	for _, t := range f.trees {
-		sum += t.Predict(x)
-	}
-	return sum / float64(len(f.trees))
+	return sumPredictions(f.trees, x, 0, 1) / float64(len(f.trees))
 }
 
 // Predict applies a decision threshold to the probability.

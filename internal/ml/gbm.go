@@ -127,11 +127,7 @@ func FitGBM(X [][]float64, y []float64, cfg GBMConfig) *GBM {
 
 // Predict returns the fitted conditional quantile for one row.
 func (m *GBM) Predict(x []float64) float64 {
-	out := m.init
-	for _, t := range m.trees {
-		out += m.lr * t.Predict(x)
-	}
-	return out
+	return sumPredictions(m.trees, x, m.init, m.lr)
 }
 
 // Quantile returns the target quantile the model was fit for.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Model serialization. The paper's pipeline trains models centrally,
@@ -12,7 +13,9 @@ import (
 // role: a trained forest or GBM round-trips through an opaque byte
 // stream, and the serving side rebuilds an identical predictor.
 
-// jsonNode is the wire form of one tree node, flattened depth-first.
+// jsonNode is the wire form of one tree node. Nodes are listed in
+// preorder, so a split's left child is always the next node — the same
+// layout Tree keeps in memory.
 type jsonNode struct {
 	Feature   int     `json:"f"`
 	Threshold float64 `json:"t"`
@@ -31,76 +34,77 @@ type jsonTree struct {
 }
 
 func flattenTree(t *Tree) jsonTree {
-	jt := jsonTree{Features: t.features, Leaves: len(t.leaves)}
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		idx := len(jt.Nodes)
-		jt.Nodes = append(jt.Nodes, jsonNode{})
-		jn := jsonNode{
-			Feature:   n.feature,
-			Threshold: n.threshold,
-			Left:      -1,
-			Right:     -1,
-			Leaf:      n.leaf,
-			LeafID:    n.leafID,
-			Value:     n.value,
+	jt := jsonTree{Features: t.features, Leaves: len(t.leaves), Nodes: make([]jsonNode, len(t.right))}
+	leafID := 0
+	for i, r := range t.right {
+		jn := jsonNode{Left: -1, Right: -1, Value: t.value[i]}
+		if int(r) == i {
+			jn.Leaf, jn.LeafID = true, leafID
+			leafID++
+		} else {
+			jn.Feature, jn.Threshold = int(t.feature[i]), t.threshold[i]
+			jn.Left, jn.Right = i+1, int(r)
 		}
-		if !n.leaf {
-			jn.Left = walk(n.left)
-			jn.Right = walk(n.right)
-		}
-		jt.Nodes[idx] = jn
-		return idx
+		jt.Nodes[i] = jn
 	}
-	walk(t.root)
 	return jt
 }
 
+// rebuildTree validates a wire tree and copies it into the flat form.
+// The nodes must be an exact preorder encoding: every split's left child
+// is the next node, its right child is the node right after the left
+// subtree, and leaves carry ids 0, 1, ... in preorder, matching the
+// declared leaf count. Anything else is an error, so a rebuilt tree
+// always routes within bounds.
 func rebuildTree(jt jsonTree) (*Tree, error) {
-	if len(jt.Nodes) == 0 {
+	n := len(jt.Nodes)
+	if n == 0 {
 		return nil, fmt.Errorf("ml: empty tree")
 	}
-	t := &Tree{features: jt.Features, leaves: make([]*node, jt.Leaves)}
-	var build func(idx int) (*node, error)
-	build = func(idx int) (*node, error) {
-		if idx < 0 || idx >= len(jt.Nodes) {
-			return nil, fmt.Errorf("ml: node index %d out of range", idx)
-		}
-		jn := jt.Nodes[idx]
-		n := &node{
-			feature:   jn.Feature,
-			threshold: jn.Threshold,
-			leaf:      jn.Leaf,
-			leafID:    jn.LeafID,
-			value:     jn.Value,
-		}
-		if n.leaf {
-			if n.leafID < 0 || n.leafID >= len(t.leaves) {
-				return nil, fmt.Errorf("ml: leaf id %d out of range", n.leafID)
+	var b treeBuf
+	// pending holds the right children of the open splits, innermost
+	// last, with their depths: after a leaf, preorder continues at the
+	// innermost one.
+	type openRight struct{ node, depth int }
+	var pending []openRight
+	depth := 0
+	for i, jn := range jt.Nodes {
+		if jn.Leaf {
+			if jn.LeafID != len(b.leaves) {
+				return nil, fmt.Errorf("ml: node %d: leaf id %d, want %d (ids run 0, 1, ... in preorder)",
+					i, jn.LeafID, len(b.leaves))
 			}
-			t.leaves[n.leafID] = n
-			return n, nil
+			b.leaf(jn.Value, depth)
+			if i+1 < n {
+				if len(pending) == 0 || pending[len(pending)-1].node != i+1 {
+					return nil, fmt.Errorf("ml: node %d is not reachable in preorder", i+1)
+				}
+				depth = pending[len(pending)-1].depth
+				pending = pending[:len(pending)-1]
+			}
+			continue
 		}
-		var err error
-		if n.left, err = build(jn.Left); err != nil {
-			return nil, err
+		if jn.Left != i+1 {
+			return nil, fmt.Errorf("ml: node %d: left child %d is not the next node", i, jn.Left)
 		}
-		if n.right, err = build(jn.Right); err != nil {
-			return nil, err
+		if jn.Right <= i+1 || jn.Right >= n {
+			return nil, fmt.Errorf("ml: node %d: right child %d out of range", i, jn.Right)
 		}
-		return n, nil
+		if jn.Feature < 0 || jn.Feature >= jt.Features || jn.Feature > math.MaxInt32 {
+			return nil, fmt.Errorf("ml: node %d: feature %d out of range", i, jn.Feature)
+		}
+		b.split(jn.Feature, jn.Threshold)
+		b.right[i] = int32(jn.Right)
+		depth++
+		pending = append(pending, openRight{node: jn.Right, depth: depth})
 	}
-	root, err := build(0)
-	if err != nil {
-		return nil, err
+	if len(pending) != 0 {
+		return nil, fmt.Errorf("ml: tree truncated: right child %d never reached", pending[len(pending)-1].node)
 	}
-	t.root = root
-	for i, leaf := range t.leaves {
-		if leaf == nil {
-			return nil, fmt.Errorf("ml: leaf %d missing", i)
-		}
+	if len(b.leaves) != jt.Leaves {
+		return nil, fmt.Errorf("ml: tree has %d leaves, header says %d", len(b.leaves), jt.Leaves)
 	}
-	return t, nil
+	return b.tree(jt.Features), nil
 }
 
 // jsonForest is the wire form of a Forest.

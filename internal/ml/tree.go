@@ -43,22 +43,92 @@ func DefaultTreeConfig() TreeConfig {
 	return TreeConfig{MaxDepth: 6, MinLeaf: 5, FeatureFrac: 1.0, Criterion: Variance}
 }
 
-// node is one tree node; leaves carry a value, internal nodes a split.
-type node struct {
-	feature   int
-	threshold float64
-	left      *node
-	right     *node
-	leaf      bool
-	leafID    int
-	value     float64
+// Tree is a fitted CART tree, stored flat in preorder — the layout of
+// its wire form — as parallel per-node slices. Node i's left child is
+// node i+1 and right[i] its right child. feature and threshold hold the
+// split, value the leaf output (zero on split nodes). A leaf points right
+// at itself behind a NaN threshold: no x compares <= NaN, so a walk that
+// reached its leaf stays there, and routing needs no leaf test — it
+// takes exactly depth steps. leaves lists the leaf nodes in preorder,
+// which is leaf-id order.
+type Tree struct {
+	feature   []int32
+	threshold []float64
+	right     []int32
+	value     []float64
+	leaves    []int32
+	depth     int
+	features  int
 }
 
-// Tree is a fitted CART tree.
-type Tree struct {
-	root     *node
-	leaves   []*node
-	features int
+// treeBuf accumulates one tree's nodes in preorder while a grower
+// recurses. It is reused across every tree of a fit, so growth appends
+// into warm buffers and each finished tree costs two exact-size copies.
+type treeBuf struct {
+	feature   []int32
+	threshold []float64
+	right     []int32
+	value     []float64
+	leaves    []int32
+	depth     int
+}
+
+func (b *treeBuf) reset() {
+	b.feature, b.threshold = b.feature[:0], b.threshold[:0]
+	b.right, b.value, b.leaves = b.right[:0], b.value[:0], b.leaves[:0]
+	b.depth = 0
+}
+
+// split appends a split node and returns its index; the caller grows the
+// left subtree next (landing at index+1) and then links the right one
+// with linkRight.
+func (b *treeBuf) split(feat int, thr float64) int {
+	i := len(b.feature)
+	b.feature = append(b.feature, int32(feat))
+	b.threshold = append(b.threshold, thr)
+	b.right = append(b.right, 0)
+	b.value = append(b.value, 0)
+	return i
+}
+
+// linkRight points split node i at the next node to be appended.
+func (b *treeBuf) linkRight(i int) { b.right[i] = int32(len(b.feature)) }
+
+// leaf appends a leaf with output v at the given depth and returns its
+// leaf id.
+func (b *treeBuf) leaf(v float64, depth int) int {
+	id := len(b.leaves)
+	i := int32(len(b.feature))
+	b.leaves = append(b.leaves, i)
+	b.feature = append(b.feature, 0)
+	b.threshold = append(b.threshold, math.NaN())
+	b.right = append(b.right, i)
+	b.value = append(b.value, v)
+	b.depth = max(b.depth, depth)
+	return id
+}
+
+// tree copies the buffered nodes into a Tree backed by one int32 and one
+// float64 allocation.
+func (b *treeBuf) tree(features int) *Tree {
+	n, l := len(b.feature), len(b.leaves)
+	ints := make([]int32, 2*n+l)
+	floats := make([]float64, 2*n)
+	t := &Tree{
+		feature:   ints[:n:n],
+		right:     ints[n : 2*n : 2*n],
+		leaves:    ints[2*n:],
+		threshold: floats[:n:n],
+		value:     floats[n:],
+		depth:     b.depth,
+		features:  features,
+	}
+	copy(t.feature, b.feature)
+	copy(t.right, b.right)
+	copy(t.leaves, b.leaves)
+	copy(t.threshold, b.threshold)
+	copy(t.value, b.value)
+	return t
 }
 
 // Presort carries per-feature argsort orders over a fixed training
@@ -142,9 +212,9 @@ func fitTreeSparse(X [][]float64, y []float64, cfg TreeConfig, r *stats.Rand) *T
 type splitPair struct{ x, y float64 }
 
 // sparseGrower carries the per-fit state of the sparse strategy. All
-// scratch buffers (sort, partition, feature subset) are reused across
-// nodes — and, for forests, across trees — so growing a tree allocates
-// only its nodes.
+// scratch buffers (sort, partition, feature subset, node buffer) are
+// reused across nodes — and, for forests, across trees — so growing a
+// tree allocates only its finished copy.
 type sparseGrower struct {
 	cols [][]float64
 	// rowOf maps a working row index to its row in cols; nil means the
@@ -185,6 +255,8 @@ type sparseGrower struct {
 	rankOf [][]uint16
 	occ    []uint64
 	rowsU  []int32
+
+	tb treeBuf
 }
 
 // newSparseGrower builds a grower with normalized limits and scratch
@@ -216,21 +288,23 @@ func (g *sparseGrower) fit(n int, r *stats.Rand) *Tree {
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	t := &Tree{features: len(g.cols)}
-	t.root = t.growSparse(g, idx, 0, r)
-	return t
+	g.tb.reset()
+	g.grow(idx, 0, r)
+	return g.tb.tree(len(g.cols))
 }
 
-// growSparse recursively builds the subtree over the rows in idx. The
-// split partitions idx in place (stably, via the grower's scratch
-// buffer); the children recurse on disjoint subslices of it.
-func (t *Tree) growSparse(g *sparseGrower, idx []int32, depth int, r *stats.Rand) *node {
+// grow recursively appends the subtree over the rows in idx to the node
+// buffer. The split partitions idx in place (stably, via the grower's
+// scratch buffer); the children recurse on disjoint subslices of it.
+func (g *sparseGrower) grow(idx []int32, depth int, r *stats.Rand) {
 	if depth >= g.cfg.MaxDepth || len(idx) < 2*g.cfg.MinLeaf || pure(g.y, idx) {
-		return t.makeLeaf(g.y, idx)
+		g.tb.leaf(leafMean(g.y, idx), depth)
+		return
 	}
 	feat, thr, ok := bestSplitSparse(g, idx, r)
 	if !ok {
-		return t.makeLeaf(g.y, idx)
+		g.tb.leaf(leafMean(g.y, idx), depth)
+		return
 	}
 	col := g.cols[feat]
 	nl := 0
@@ -258,14 +332,13 @@ func (t *Tree) growSparse(g *sparseGrower, idx []int32, depth int, r *stats.Rand
 	copy(idx[nl:], part)
 	left, right := idx[:nl], idx[nl:]
 	if len(left) < g.cfg.MinLeaf || len(right) < g.cfg.MinLeaf {
-		return t.makeLeaf(g.y, idx)
+		g.tb.leaf(leafMean(g.y, idx), depth)
+		return
 	}
-	return &node{
-		feature:   feat,
-		threshold: thr,
-		left:      t.growSparse(g, left, depth+1, r),
-		right:     t.growSparse(g, right, depth+1, r),
-	}
+	i := g.tb.split(feat, thr)
+	g.grow(left, depth+1, r)
+	g.tb.linkRight(i)
+	g.grow(right, depth+1, r)
 }
 
 // bestSplitSparse sorts each candidate feature's rows and scans the
@@ -748,16 +821,16 @@ func fitPresorted(X [][]float64, y []float64, cfg TreeConfig, r *stats.Rand, ps 
 		scratch.xpart = make([]float64, 0, n)
 		scratch.ypart = make([]float64, 0, n)
 	}
-	t := &Tree{features: len(X[0])}
-	t.root = t.grow(ps.cols, y, scratch.work, 0, n, cfg, 0, r, scratch)
-	return t
+	scratch.tb.reset()
+	growDense(ps.cols, y, scratch.work, 0, n, cfg, 0, r, scratch)
+	return scratch.tb.tree(len(X[0]))
 }
 
 // denseScratch holds the dense strategy's per-fit reusable state: the
 // feature-subset buffer, a working copy of the presorted orders that is
 // partitioned in place down the tree, and the stable-partition scratch.
 // One scratch serves every stage of a GBM fit, so growing a tree
-// allocates only its nodes.
+// allocates only its finished copy.
 type denseScratch struct {
 	perm []int
 	work [][]int32
@@ -778,22 +851,26 @@ type denseScratch struct {
 	// routing at predict time uses the same `<= threshold` comparison as
 	// the training partition, so the recorded ids match LeafID exactly.
 	leafOf []int
+	// tb is the node buffer trees grow into.
+	tb treeBuf
 }
 
-// grow recursively builds the subtree over the rows in work[_][lo:hi]
-// (the node's membership, presorted per feature; every feature's window
-// holds the same rows). cols is the column-major view of the training
-// matrix. Splitting stably partitions each window in place, so the
-// children recurse on disjoint subwindows and no per-node lists are
-// allocated.
-func (t *Tree) grow(cols [][]float64, y []float64, work [][]int32, lo, hi int, cfg TreeConfig, depth int, r *stats.Rand, scratch *denseScratch) *node {
+// growDense recursively appends the subtree over the rows in
+// work[_][lo:hi] (the node's membership, presorted per feature; every
+// feature's window holds the same rows) to scratch's node buffer. cols is
+// the column-major view of the training matrix. Splitting stably
+// partitions each window in place, so the children recurse on disjoint
+// subwindows and no per-node lists are allocated.
+func growDense(cols [][]float64, y []float64, work [][]int32, lo, hi int, cfg TreeConfig, depth int, r *stats.Rand, scratch *denseScratch) {
 	rows := work[0][lo:hi]
 	if depth >= cfg.MaxDepth || len(rows) < 2*cfg.MinLeaf || pure(y, rows) {
-		return t.makeLeafRecorded(y, rows, scratch)
+		scratch.leaf(y, rows, depth)
+		return
 	}
 	feat, thr, ok := bestSplit(cols, y, work, lo, hi, cfg, r, scratch)
 	if !ok {
-		return t.makeLeafRecorded(y, rows, scratch)
+		scratch.leaf(y, rows, depth)
+		return
 	}
 	// Check split feasibility before touching the arena: a leaf's value is
 	// a target sum in row order, so rows must stay untouched on this path.
@@ -811,7 +888,8 @@ func (t *Tree) grow(cols [][]float64, y []float64, work [][]int32, lo, hi int, c
 	}
 	nl := a
 	if nl < cfg.MinLeaf || len(rows)-nl < cfg.MinLeaf {
-		return t.makeLeafRecorded(y, rows, scratch)
+		scratch.leaf(y, rows, depth)
+		return
 	}
 	// Flag the left-going rows once (the split feature's sorted window
 	// makes them its first nl entries), then route every other feature's
@@ -854,36 +932,31 @@ func (t *Tree) grow(cols [][]float64, y []float64, work [][]int32, lo, hi int, c
 	for _, i := range leftRows {
 		side[i] = 0
 	}
-	return &node{
-		feature:   feat,
-		threshold: thr,
-		left:      t.grow(cols, y, work, lo, lo+nl, cfg, depth+1, r, scratch),
-		right:     t.grow(cols, y, work, lo+nl, hi, cfg, depth+1, r, scratch),
-	}
+	i := scratch.tb.split(feat, thr)
+	growDense(cols, y, work, lo, lo+nl, cfg, depth+1, r, scratch)
+	scratch.tb.linkRight(i)
+	growDense(cols, y, work, lo+nl, hi, cfg, depth+1, r, scratch)
 }
 
-// makeLeafRecorded is makeLeaf plus leaf-id recording for the dense
-// strategy's ensemble fits.
-func (t *Tree) makeLeafRecorded(y []float64, rows []int32, scratch *denseScratch) *node {
-	leaf := t.makeLeaf(y, rows)
+// leaf appends a leaf over rows and, for the dense strategy's ensemble
+// fits, records each row's leaf id.
+func (scratch *denseScratch) leaf(y []float64, rows []int32, depth int) {
+	id := scratch.tb.leaf(leafMean(y, rows), depth)
 	if scratch.leafOf != nil {
 		for _, i := range rows {
-			scratch.leafOf[i] = leaf.leafID
+			scratch.leafOf[i] = id
 		}
 	}
-	return leaf
 }
 
-// makeLeaf creates a leaf whose value is the target mean (probability for
-// 0/1 targets).
-func (t *Tree) makeLeaf(y []float64, rows []int32) *node {
+// leafMean is a leaf's output: the target mean over its rows (the
+// probability for 0/1 targets).
+func leafMean(y []float64, rows []int32) float64 {
 	var sum float64
 	for _, i := range rows {
 		sum += y[i]
 	}
-	n := &node{leaf: true, leafID: len(t.leaves), value: sum / float64(len(rows))}
-	t.leaves = append(t.leaves, n)
-	return n
+	return sum / float64(len(rows))
 }
 
 // pure reports whether all targets in rows are identical.
@@ -968,52 +1041,87 @@ func featureSubsetInto(buf []int, n int, frac float64, r *stats.Rand) []int {
 
 // Predict returns the tree's output for one row.
 func (t *Tree) Predict(x []float64) float64 {
-	n := t.root
-	for !n.leaf {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.value
+	return t.value[t.leafNode(x)]
 }
 
 // LeafID returns the index of the leaf x lands in (stable for the tree's
 // lifetime); the quantile GBM uses it to re-fit leaf values.
 func (t *Tree) LeafID(x []float64) int {
-	n := t.root
-	for !n.leaf {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
+	id, _ := slices.BinarySearch(t.leaves, t.leafNode(x))
+	return id
+}
+
+// leafNode routes x from the root to its leaf's node index.
+func (t *Tree) leafNode(x []float64) int32 {
+	i := int32(0)
+	for d := t.depth; d > 0; d-- {
+		i = t.step(i, x)
 	}
-	return n.leafID
+	return i
+}
+
+// step moves from node i to its left child (the next node) when x is at
+// or below the split threshold and to its right child otherwise — a
+// NaN x goes right. The select is branch-free: the comparison outcome is
+// data-dependent, so a branch on it mispredicts about half the time.
+func (t *Tree) step(i int32, x []float64) int32 {
+	right := b2i(!(x[t.feature[i]] <= t.threshold[i]))
+	return i + 1 + right*(t.right[i]-i-1)
+}
+
+// b2i converts a bool to 0 or 1 without a branch.
+func b2i(b bool) int32 {
+	var v int32
+	if b {
+		v = 1
+	}
+	return v
+}
+
+// predict4 routes x through four trees in lockstep. Each walk is a chain
+// of dependent loads, so interleaving four independent chains lets them
+// overlap; every tree still computes exactly what Predict would.
+func predict4(t0, t1, t2, t3 *Tree, x []float64) (v0, v1, v2, v3 float64) {
+	var i0, i1, i2, i3 int32
+	for d := max(t0.depth, t1.depth, t2.depth, t3.depth); d > 0; d-- {
+		i0 = t0.step(i0, x)
+		i1 = t1.step(i1, x)
+		i2 = t2.step(i2, x)
+		i3 = t3.step(i3, x)
+	}
+	return t0.value[i0], t1.value[i1], t2.value[i2], t3.value[i3]
+}
+
+// sumPredictions adds scale*trees[k].Predict(x) to init for each tree in
+// order — the ensemble sum of forests (scale 1) and GBMs (scale = the
+// learning rate) — routing four trees at a time. The additions happen one
+// by one in tree order, so the result is bit-identical to the plain loop.
+func sumPredictions(trees []*Tree, x []float64, init, scale float64) float64 {
+	sum := init
+	k := 0
+	for ; k+4 <= len(trees); k += 4 {
+		v0, v1, v2, v3 := predict4(trees[k], trees[k+1], trees[k+2], trees[k+3], x)
+		sum += scale * v0
+		sum += scale * v1
+		sum += scale * v2
+		sum += scale * v3
+	}
+	for _, t := range trees[k:] {
+		sum += scale * t.Predict(x)
+	}
+	return sum
 }
 
 // Leaves returns the number of leaves.
 func (t *Tree) Leaves() int { return len(t.leaves) }
 
 // LeafValue returns the current output of a leaf by id.
-func (t *Tree) LeafValue(leafID int) float64 { return t.leaves[leafID].value }
+func (t *Tree) LeafValue(leafID int) float64 { return t.value[t.leaves[leafID]] }
 
 // SetLeafValue overwrites a leaf's output (quantile GBM leaf adjustment).
 func (t *Tree) SetLeafValue(leafID int, v float64) {
-	t.leaves[leafID].value = v
+	t.value[t.leaves[leafID]] = v
 }
 
 // Depth returns the maximum depth of the tree (root = 0).
-func (t *Tree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *node) int {
-	if n.leaf {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
+func (t *Tree) Depth() int { return t.depth }

@@ -5,6 +5,7 @@ import (
 
 	"pond/internal/cluster"
 	"pond/internal/core"
+	"pond/internal/fifo"
 	"pond/internal/mlops"
 	"pond/internal/pmu"
 	"pond/internal/predict"
@@ -67,7 +68,7 @@ type Collector struct {
 	// Whole-run serving quality.
 	sumServeLoss float64
 	outcomes     int
-	serveWindow  []float64 // rolling, capped at windowCap
+	serveWindow  fifo.Window[float64] // rolling, capped at windowCap
 
 	// Frozen insensitivity monitoring (the fleet pipeline manages the
 	// untouched-memory family; the insensitivity bootstrap keeps serving
@@ -176,7 +177,7 @@ func (c *Collector) ObserveOutcome(vm cluster.VMRequest, counters pmu.Vector, ha
 		serveLoss := mlops.UMLoss(p.serve, label, c.overPenalty)
 		c.sumServeLoss += serveLoss
 		c.outcomes++
-		c.serveWindow = appendCapped(c.serveWindow, serveLoss, c.windowCap)
+		c.serveWindow.Push(serveLoss, c.windowCap)
 	}
 
 	if haveCounters && c.insens != nil && vm.GroundTruth.Workload.Name != "" {
@@ -230,12 +231,12 @@ func (c *Collector) Quality() Quality {
 	if c.outcomes > 0 {
 		q.ServeLossMean = c.sumServeLoss / float64(c.outcomes)
 	}
-	if len(c.serveWindow) > 0 {
+	if window := c.serveWindow.Items(); len(window) > 0 {
 		var sum float64
-		for _, v := range c.serveWindow {
+		for _, v := range window {
 			sum += v
 		}
-		q.ServeLossFinal = sum / float64(len(c.serveWindow))
+		q.ServeLossFinal = sum / float64(len(window))
 	}
 	if c.insN > 0 {
 		q.InsensLossMean = c.sumInsLoss / float64(c.insN)

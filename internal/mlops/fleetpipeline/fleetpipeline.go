@@ -32,6 +32,7 @@ package fleetpipeline
 import (
 	"fmt"
 
+	"pond/internal/fifo"
 	"pond/internal/mlops"
 	"pond/internal/predict"
 )
@@ -221,7 +222,7 @@ type Manager struct {
 	newRows int
 
 	// win[cell] is the cell's rolling shadow-score window.
-	win [][]Obs
+	win []fifo.Window[Obs]
 
 	// meta records training provenance per release version.
 	meta map[int]trainMeta
@@ -241,7 +242,7 @@ func NewManager(cfg Config, bootstrap predict.Untouched) *Manager {
 		fbVer:    -1,
 		nextVer:  1,
 		stage:    StageSteady,
-		win:      make([][]Obs, cfg.Cells),
+		win:      make([]fifo.Window[Obs], cfg.Cells),
 		meta:     make(map[int]trainMeta),
 	}
 }
@@ -351,7 +352,7 @@ func (m *Manager) Tick(nowSec float64, rows [][]Row, obs [][]Obs) ([]Event, erro
 	}
 	for cell, cellObs := range obs {
 		for _, o := range cellObs {
-			m.win[cell] = appendCapped(m.win[cell], o, m.cfg.HoldoutWindow)
+			m.win[cell].Push(o, m.cfg.HoldoutWindow)
 		}
 	}
 
@@ -433,7 +434,7 @@ func (m *Manager) Tick(nowSec float64, rows [][]Row, obs [][]Obs) ([]Event, erro
 // live, returning their mean losses and the shared observation count.
 func (m *Manager) pooledPairLoss(lo, hi int, contender string) (champ, other float64, n int) {
 	for cell := lo; cell <= hi && cell < len(m.win); cell++ {
-		for _, o := range m.win[cell] {
+		for _, o := range m.win[cell].Items() {
 			if o.ChampVer != m.champVer {
 				continue
 			}
@@ -483,14 +484,4 @@ func (m *Manager) Counts() Counts {
 		}
 	}
 	return c
-}
-
-// appendCapped appends to a FIFO buffer bounded at limit entries,
-// evicting the oldest when full.
-func appendCapped[T any](buf []T, v T, limit int) []T {
-	if len(buf) >= limit {
-		copy(buf, buf[1:])
-		buf = buf[:len(buf)-1]
-	}
-	return append(buf, v)
 }

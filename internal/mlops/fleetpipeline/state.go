@@ -103,8 +103,8 @@ func (m *Manager) State() (ManagerState, error) {
 	s.Y = append([]float64(nil), m.y...)
 	s.NewRows = m.newRows
 	s.Win = make([][]ObsState, len(m.win))
-	for c, w := range m.win {
-		s.Win[c] = obsStates(w)
+	for c := range m.win {
+		s.Win[c] = obsStates(m.win[c].Items())
 	}
 	vers := make([]int, 0, len(m.meta))
 	for v := range m.meta {
@@ -144,10 +144,12 @@ func (m *Manager) SetState(s ManagerState) error {
 	m.y = append([]float64(nil), s.Y...)
 	m.newRows = s.NewRows
 	for c := range m.win {
-		m.win[c] = nil
+		m.win[c].Reset()
 	}
 	for c, w := range s.Win {
-		m.win[c] = obsFromStates(w)
+		for _, o := range obsFromStates(w) {
+			m.win[c].Push(o, len(w))
+		}
 	}
 	m.meta = make(map[int]trainMeta, len(s.Meta))
 	for _, ms := range s.Meta {
@@ -224,7 +226,7 @@ func (c *Collector) State() CollectorState {
 	s := CollectorState{
 		ChampVer: c.champVer, ChallVer: c.challVer, FbVer: c.fbVer, ServeVer: c.serveVer,
 		SumServeLoss: c.sumServeLoss, Outcomes: c.outcomes,
-		ServeWindow: append([]float64(nil), c.serveWindow...),
+		ServeWindow: append([]float64(nil), c.serveWindow.Items()...),
 		SumInsLoss:  c.sumInsLoss, InsN: c.insN,
 	}
 	ids := make([]cluster.VMID, 0, len(c.pending))
@@ -272,7 +274,10 @@ func (c *Collector) SetState(s CollectorState) error {
 	c.obs = obsFromStates(s.Obs)
 	c.sumServeLoss = s.SumServeLoss
 	c.outcomes = s.Outcomes
-	c.serveWindow = append([]float64(nil), s.ServeWindow...)
+	c.serveWindow.Reset()
+	for _, v := range s.ServeWindow {
+		c.serveWindow.Push(v, len(s.ServeWindow))
+	}
 	c.sumInsLoss = s.SumInsLoss
 	c.insN = s.InsN
 	return nil

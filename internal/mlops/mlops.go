@@ -31,6 +31,7 @@ import (
 
 	"pond/internal/cluster"
 	"pond/internal/core"
+	"pond/internal/fifo"
 	"pond/internal/pmu"
 	"pond/internal/predict"
 )
@@ -176,7 +177,7 @@ type lifecycle struct {
 	champVer, challVer, fbVer int // -1 = slot empty
 	nextVer                   int
 
-	window []obs // rolling, capped at HoldoutWindow
+	window fifo.Window[obs] // rolling, capped at HoldoutWindow
 
 	sumChampLoss float64 // over every outcome, whichever champion served
 	outcomes     int
@@ -192,7 +193,7 @@ func newLifecycle(family string) lifecycle {
 // current ones when a retrain or promotion tick fell inside the VM's
 // lifetime.
 func (lc *lifecycle) observe(o obs, windowCap int) {
-	lc.window = appendCapped(lc.window, o, windowCap)
+	lc.window.Push(o, windowCap)
 	lc.sumChampLoss += o.champLoss
 	lc.outcomes++
 }
@@ -200,7 +201,7 @@ func (lc *lifecycle) observe(o obs, windowCap int) {
 // pairLoss computes mean losses over window entries where the current
 // champion and the given contender slot were both shadow-scored live.
 func (lc *lifecycle) pairLoss(contender string) (champ, other float64, n int) {
-	for _, o := range lc.window {
+	for _, o := range lc.window.Items() {
 		if o.champVer != lc.champVer {
 			continue
 		}
@@ -229,14 +230,15 @@ func (lc *lifecycle) pairLoss(contender string) (champ, other float64, n int) {
 // champWindowLoss is the mean champion loss over the rolling window,
 // whatever versions served — the "current serving quality" metric.
 func (lc *lifecycle) champWindowLoss() float64 {
-	if len(lc.window) == 0 {
+	window := lc.window.Items()
+	if len(window) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, o := range lc.window {
+	for _, o := range window {
 		sum += o.champLoss
 	}
-	return sum / float64(len(lc.window))
+	return sum / float64(len(window))
 }
 
 func (lc *lifecycle) champMeanLoss() float64 {
@@ -288,16 +290,16 @@ type Manager struct {
 	umChamp, umChall, umFb predict.Untouched
 	umLC                   lifecycle
 	umPending              map[cluster.VMID]umPending
-	umX                    [][]float64
-	umY                    []float64
+	umX                    fifo.Window[[]float64]
+	umY                    fifo.Window[float64]
 	umMeta                 map[int]trainMeta
 
 	// Latency-insensitivity family.
 	insChamp, insChall, insFb          predict.Insensitivity
 	insChampThr, insChallThr, insFbThr float64
 	insLC                              lifecycle
-	insX                               [][]float64
-	insY                               []float64
+	insX                               fifo.Window[[]float64]
+	insY                               fifo.Window[float64]
 	insMeta                            map[int]trainMeta
 
 	events []Event
@@ -378,8 +380,8 @@ func (m *Manager) ObserveOutcome(vm cluster.VMRequest, counters pmu.Vector, have
 			o.fbLoss = UMLoss(p.fb, label, m.cfg.OverPenalty)
 		}
 		m.umLC.observe(o, m.cfg.HoldoutWindow)
-		m.umX = appendCapped(m.umX, p.feats, m.cfg.MaxTrainRows)
-		m.umY = appendCapped(m.umY, label, m.cfg.MaxTrainRows)
+		m.umX.Push(p.feats, m.cfg.MaxTrainRows)
+		m.umY.Push(label, m.cfg.MaxTrainRows)
 	}
 
 	if haveCounters && vm.GroundTruth.Workload.Name != "" {
@@ -404,8 +406,15 @@ func (m *Manager) ObserveOutcome(vm cluster.VMRequest, counters pmu.Vector, have
 			o.fbLoss = UMLoss(m.insFb.Score(counters), label, m.cfg.OverPenalty)
 		}
 		m.insLC.observe(o, m.cfg.HoldoutWindow)
-		m.insX = appendCapped(m.insX, counters.Features(), m.cfg.MaxTrainRows)
-		m.insY = appendCapped(m.insY, label, m.cfg.MaxTrainRows)
+		// A full buffer is about to evict its oldest row; nothing else
+		// holds rows (training and snapshots copy them), so its storage
+		// takes the new row.
+		var row []float64
+		if m.insX.Len() >= m.cfg.MaxTrainRows {
+			row = m.insX.Items()[0]
+		}
+		m.insX.Push(append(row[:0], counters[:]...), m.cfg.MaxTrainRows)
+		m.insY.Push(label, m.cfg.MaxTrainRows)
 	}
 }
 
@@ -454,15 +463,15 @@ func (m *Manager) tickUM(now float64) []Event {
 	}
 
 	// Train a fresh challenger once the current one has had its shot.
-	if len(m.umX) >= m.cfg.MinTrainRows && (m.umChall == nil || m.umLC.challObs() >= m.cfg.MinHoldout) {
+	if m.umX.Len() >= m.cfg.MinTrainRows && (m.umChall == nil || m.umLC.challObs() >= m.cfg.MinHoldout) {
 		ver := m.umLC.nextVer
 		m.umLC.nextVer++
 		quantile := 1 / (1 + m.cfg.OverPenalty)
 		seed := m.cfg.Seed + int64(ver)*7919 + 1
-		m.umChall = predict.TrainGBMUntouched(m.umX, m.umY, quantile, seed)
+		m.umChall = predict.TrainGBMUntouched(m.umX.Items(), m.umY.Items(), quantile, seed)
 		m.umLC.challVer = ver
-		m.umMeta[ver] = trainMeta{Ver: ver, AtSec: now, Rows: len(m.umX)}
-		out = append(out, m.event(now, FamilyUM, EventRetrain, ver, len(m.umX), 0, 0, 0))
+		m.umMeta[ver] = trainMeta{Ver: ver, AtSec: now, Rows: m.umX.Len()}
+		out = append(out, m.event(now, FamilyUM, EventRetrain, ver, m.umX.Len(), 0, 0, 0))
 	}
 	return out
 }
@@ -494,14 +503,15 @@ func (m *Manager) tickInsens(now float64) []Event {
 
 	// The insensitivity label is heavily imbalanced on small windows;
 	// require both classes before fitting a classifier.
-	if len(m.insX) >= m.cfg.MinTrainRows && bothClasses(m.insY) &&
+	insX, insY := m.insX.Items(), m.insY.Items()
+	if len(insX) >= m.cfg.MinTrainRows && bothClasses(insY) &&
 		(m.insChall == nil || m.insLC.challObs() >= m.cfg.MinHoldout) {
 		ver := m.insLC.nextVer
 		m.insLC.nextVer++
 		seed := m.cfg.Seed + int64(ver)*7919 + 2
-		rf := predict.TrainForest(m.insX, m.insY, seed)
-		scores := make([]float64, len(m.insX))
-		for i, x := range m.insX {
+		rf := predict.TrainForest(insX, insY, seed)
+		scores := make([]float64, len(insX))
+		for i, x := range insX {
 			var v pmu.Vector
 			copy(v[:], x)
 			scores[i] = rf.Score(v)
@@ -512,15 +522,15 @@ func (m *Manager) tickInsens(now float64) []Event {
 		// threshold errs conservative.
 		thr := predict.ThresholdForLabelRate(scores, m.cfg.LabelRate)
 		for i, s := range scores {
-			if m.insY[i] == 0 && s >= thr {
+			if insY[i] == 0 && s >= thr {
 				thr = s + 1e-9
 			}
 		}
 		m.insChall = rf
 		m.insChallThr = thr
 		m.insLC.challVer = ver
-		m.insMeta[ver] = trainMeta{Ver: ver, AtSec: now, Rows: len(m.insX)}
-		out = append(out, m.event(now, FamilyInsens, EventRetrain, ver, len(m.insX), 0, 0, 0))
+		m.insMeta[ver] = trainMeta{Ver: ver, AtSec: now, Rows: len(insX)}
+		out = append(out, m.event(now, FamilyInsens, EventRetrain, ver, len(insX), 0, 0, 0))
 	}
 	return out
 }
@@ -606,14 +616,4 @@ func bothClasses(y []float64) bool {
 		}
 	}
 	return false
-}
-
-// appendCapped appends to a FIFO buffer bounded at limit entries,
-// evicting the oldest when full.
-func appendCapped[T any](buf []T, v T, limit int) []T {
-	if len(buf) >= limit {
-		copy(buf, buf[1:])
-		buf = buf[:len(buf)-1]
-	}
-	return append(buf, v)
 }

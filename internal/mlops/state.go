@@ -94,7 +94,7 @@ func lifecycleState(lc lifecycle) LifecycleState {
 		ChampVer: lc.champVer, ChallVer: lc.challVer, FbVer: lc.fbVer, NextVer: lc.nextVer,
 		SumChampLoss: lc.sumChampLoss, Outcomes: lc.outcomes,
 	}
-	for _, o := range lc.window {
+	for _, o := range lc.window.Items() {
 		s.Window = append(s.Window, ObsState{
 			ChampVer: o.champVer, ChallVer: o.challVer, FbVer: o.fbVer,
 			ChampLoss: o.champLoss, ChallLoss: o.challLoss, FbLoss: o.fbLoss,
@@ -106,12 +106,12 @@ func lifecycleState(lc lifecycle) LifecycleState {
 func setLifecycle(lc *lifecycle, s LifecycleState, family string) {
 	lc.family = family
 	lc.champVer, lc.challVer, lc.fbVer, lc.nextVer = s.ChampVer, s.ChallVer, s.FbVer, s.NextVer
-	lc.window = nil
+	lc.window.Reset()
 	for _, o := range s.Window {
-		lc.window = append(lc.window, obs{
+		lc.window.Push(obs{
 			champVer: o.ChampVer, challVer: o.ChallVer, fbVer: o.FbVer,
 			champLoss: o.ChampLoss, challLoss: o.ChallLoss, fbLoss: o.FbLoss,
-		})
+		}, len(s.Window))
 	}
 	lc.sumChampLoss = s.SumChampLoss
 	lc.outcomes = s.Outcomes
@@ -258,10 +258,10 @@ func (m *Manager) State() (State, error) {
 			ChampVer: p.champVer, ChallVer: p.challVer, FbVer: p.fbVer,
 		})
 	}
-	for _, x := range m.umX {
+	for _, x := range m.umX.Items() {
 		s.UMX = append(s.UMX, append([]float64(nil), x...))
 	}
-	s.UMY = append([]float64(nil), m.umY...)
+	s.UMY = append([]float64(nil), m.umY.Items()...)
 	s.UMMeta = metaList(m.umMeta)
 
 	if s.InsChamp, err = insModelState(m.insChamp, m.insChampThr); err != nil {
@@ -274,10 +274,10 @@ func (m *Manager) State() (State, error) {
 		return State{}, err
 	}
 	s.InsLC = lifecycleState(m.insLC)
-	for _, x := range m.insX {
+	for _, x := range m.insX.Items() {
 		s.InsX = append(s.InsX, append([]float64(nil), x...))
 	}
-	s.InsY = append([]float64(nil), m.insY...)
+	s.InsY = append([]float64(nil), m.insY.Items()...)
 	s.InsMeta = metaList(m.insMeta)
 
 	s.Events = append([]Event(nil), m.events...)
@@ -312,11 +312,14 @@ func (m *Manager) SetState(s State) error {
 			champVer: p.ChampVer, challVer: p.ChallVer, fbVer: p.FbVer,
 		}
 	}
-	m.umX = nil
+	m.umX.Reset()
 	for _, x := range s.UMX {
-		m.umX = append(m.umX, append([]float64(nil), x...))
+		m.umX.Push(append([]float64(nil), x...), len(s.UMX))
 	}
-	m.umY = append([]float64(nil), s.UMY...)
+	m.umY.Reset()
+	for _, y := range s.UMY {
+		m.umY.Push(y, len(s.UMY))
+	}
 	m.umMeta = make(map[int]trainMeta, len(s.UMMeta))
 	for _, tm := range s.UMMeta {
 		m.umMeta[tm.Ver] = tm
@@ -342,11 +345,14 @@ func (m *Manager) SetState(s State) error {
 		m.insFbThr = s.InsFb.Threshold
 	}
 	setLifecycle(&m.insLC, s.InsLC, FamilyInsens)
-	m.insX = nil
+	m.insX.Reset()
 	for _, x := range s.InsX {
-		m.insX = append(m.insX, append([]float64(nil), x...))
+		m.insX.Push(append([]float64(nil), x...), len(s.InsX))
 	}
-	m.insY = append([]float64(nil), s.InsY...)
+	m.insY.Reset()
+	for _, y := range s.InsY {
+		m.insY.Push(y, len(s.InsY))
+	}
 	m.insMeta = make(map[int]trainMeta, len(s.InsMeta))
 	for _, tm := range s.InsMeta {
 		m.insMeta[tm.Ver] = tm

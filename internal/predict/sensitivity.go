@@ -86,8 +86,9 @@ func TrainForest(X [][]float64, insensitive []float64, seed int64) *ForestModel 
 	return &ForestModel{forest: ml.FitForest(X, insensitive, cfg)}
 }
 
-// Score returns the forest's insensitivity probability.
-func (m *ForestModel) Score(v pmu.Vector) float64 { return m.forest.PredictProb(v.Features()) }
+// Score returns the forest's insensitivity probability. Prediction only
+// reads the row, so the counters are scored in place, without a copy.
+func (m *ForestModel) Score(v pmu.Vector) float64 { return m.forest.PredictProb(v[:]) }
 
 // Name identifies the model in figures.
 func (m *ForestModel) Name() string { return "RandomForest" }
@@ -226,7 +227,7 @@ type LogisticModel struct {
 }
 
 // Score returns the model's insensitivity probability.
-func (m *LogisticModel) Score(v pmu.Vector) float64 { return m.model.PredictProb(v.Features()) }
+func (m *LogisticModel) Score(v pmu.Vector) float64 { return m.model.PredictProb(v[:]) }
 
 // Name identifies the baseline.
 func (m *LogisticModel) Name() string { return "Logistic" }

@@ -41,3 +41,24 @@ func BenchmarkTelemetryCapture(b *testing.B) {
 		s.ForgetVM(id)
 	}
 }
+
+// BenchmarkCustomerHistoryGrowing is the CLI-scale admission shape: one
+// customer whose history window (7 days) is longer than the whole run,
+// so every admission's window spans the customer's entire, growing
+// history. Each op is one run of growingOutcomes departures, each
+// followed by the next admission's history query.
+func BenchmarkCustomerHistoryGrowing(b *testing.B) {
+	const growingOutcomes = 4000
+	const window = 7 * 24 * 3600
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewStore()
+		for k := 0; k < growingOutcomes; k++ {
+			end := float64(30 * k)
+			s.RecordOutcome(7, end, float64((k*37)%101)/100)
+			if h := s.CustomerHistory(7, end+1, window); h.Count != k+1 {
+				b.Fatalf("history count %d after %d outcomes", h.Count, k+1)
+			}
+		}
+	}
+}

@@ -7,6 +7,8 @@
 package telemetry
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -25,12 +27,90 @@ type untouchedRecord struct {
 	untouched float64 // fraction of rented memory never touched
 }
 
-// histWindow memoizes one customer's last computed history: as long as
-// a later query selects the same record span [lo, hi), the percentiles
-// are unchanged and the sort is skipped.
+// histWindow is one customer's percentile window over the record span
+// [lo, hi): the span's untouched fractions in ascending order, and the
+// History they summarize. A later query whose span only moves forward
+// updates sorted in place — binary-deleting the records that left the
+// span and binary-inserting the ones that entered — instead of sorting
+// the whole span again; any other span rebuilds it with a sort. Both
+// paths yield the same sorted multiset, so the percentiles are
+// bit-identical.
+//
+// exact is false while the span holds a NaN or a negative zero. Those
+// values have no unique place in sorted order (NaNs are unordered and
+// -0 == +0), so such windows always rebuild, from the records in
+// recorded order, exactly as a fresh sort would.
 type histWindow struct {
 	lo, hi int
+	sorted []float64
+	exact  bool
 	h      History
+}
+
+// maxWindowMoves bounds the records an incremental window update
+// deletes and inserts; each move is a binary search plus a memmove, so
+// past a handful of moves one sort of the span is cheaper.
+const maxWindowMoves = 16
+
+// orderable reports whether x has a unique position in ascending order
+// (it is neither NaN nor a negative zero).
+func orderable(x float64) bool {
+	return x == x && (x != 0 || !math.Signbit(x))
+}
+
+// Small windows are carved out of shared chunks rather than allocated
+// one by one: a fleet has many customers with only a few outcomes each,
+// and a window of its own per customer would cost each an allocation.
+const (
+	histChunkLen    = 1024
+	histSmallWindow = 8
+)
+
+// windowBuf returns an empty buffer with room for n fractions.
+func (s *Store) windowBuf(n int) []float64 {
+	if n > histSmallWindow {
+		return make([]float64, 0, n)
+	}
+	if len(s.histChunk) < histSmallWindow {
+		s.histChunk = make([]float64, histChunkLen)
+	}
+	buf := s.histChunk[:0:histSmallWindow]
+	s.histChunk = s.histChunk[histSmallWindow:]
+	return buf
+}
+
+// rebuild sorts the span [lo, hi) of recs into the window's buffer.
+func (w *histWindow) rebuild(recs []untouchedRecord, lo, hi int) {
+	xs := w.sorted[:0]
+	w.exact = true
+	for _, rec := range recs[lo:hi] {
+		xs = append(xs, rec.untouched)
+		if !orderable(rec.untouched) {
+			w.exact = false
+		}
+	}
+	sort.Float64s(xs)
+	w.sorted, w.lo, w.hi = xs, lo, hi
+}
+
+// slide moves an exact window forward to the span [lo, hi), which must
+// satisfy w.lo <= lo <= w.hi <= hi. It reports false, leaving the window
+// to be rebuilt, when an entering record is not orderable.
+func (w *histWindow) slide(recs []untouchedRecord, lo, hi int) bool {
+	xs := w.sorted
+	for _, rec := range recs[w.lo:lo] {
+		i, _ := slices.BinarySearch(xs, rec.untouched)
+		xs = slices.Delete(xs, i, i+1)
+	}
+	for _, rec := range recs[w.hi:hi] {
+		if !orderable(rec.untouched) {
+			return false
+		}
+		i, _ := slices.BinarySearch(xs, rec.untouched)
+		xs = slices.Insert(xs, i, rec.untouched)
+	}
+	w.sorted, w.lo, w.hi = xs, lo, hi
+	return true
 }
 
 // maxFreeSampleBufs bounds the recycled sample-buffer freelist; buffers
@@ -48,13 +128,14 @@ type Store struct {
 	// Hot-path reuse, all guarded by mu. sampleFree recycles departed
 	// VMs' sample buffers into the next RecordSample; histUnsorted marks
 	// customers whose outcomes arrived out of endSec order (offline
-	// replays), disabling the binary-search window; histCache memoizes
-	// the last percentile window per customer; histScratch is the sort
-	// buffer for window fractions.
+	// replays), disabling the binary-search window; histCache holds each
+	// customer's sorted percentile window, small ones carved from
+	// histChunk; histScratch is the sort buffer of the out-of-order scan.
 	sampleFree   [][]pmu.Vector
 	histUnsorted map[cluster.CustomerID]bool
 	histCache    map[cluster.CustomerID]histWindow
 	histScratch  []float64
+	histChunk    []float64
 }
 
 // NewStore creates an empty telemetry store.
@@ -135,6 +216,7 @@ func (s *Store) RecordOutcome(c cluster.CustomerID, endSec, untouchedFrac float6
 		// Out-of-order outcome (offline trace replays): this customer's
 		// windows fall back to the full scan from here on.
 		s.histUnsorted[c] = true
+		delete(s.histCache, c)
 	}
 	s.history[c] = append(recs, untouchedRecord{endSec: endSec, untouched: untouchedFrac})
 }
@@ -171,46 +253,58 @@ func (h History) HasHistory() bool { return h.Count >= 3 }
 // [beforeSec - windowSec, beforeSec). Using only strictly earlier records
 // keeps training causal: the nightly model never sees the future.
 //
-// The online path (every fleet admission calls this) is allocation-free:
-// records appended in time order are window-selected by binary search,
-// the percentile sort reuses a store-level scratch buffer, and a window
-// identical to the customer's previous query returns the memoized
-// result. Customers with out-of-order outcomes take the original scan.
+// The online path (every fleet admission calls this) keeps a sorted
+// window per customer: records appended in time order are window-selected
+// by binary search, a span that only moved forward since the customer's
+// previous query is updated in place rather than re-sorted, and an
+// identical span returns the memoized result. Customers with
+// out-of-order outcomes take the original scan and sort.
 func (s *Store) CustomerHistory(c cluster.CustomerID, beforeSec, windowSec float64) History {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	recs := s.history[c]
-	xs := s.histScratch[:0]
-	lo, hi := 0, 0
-	if !s.histUnsorted[c] {
-		// Records are endSec-ascending: the window is the contiguous
-		// span [lo, hi) with lo the first record >= beforeSec-windowSec
-		// and hi the first record >= beforeSec.
-		from := beforeSec - windowSec
-		lo = sort.Search(len(recs), func(i int) bool { return recs[i].endSec >= from })
-		hi = sort.Search(len(recs), func(i int) bool { return recs[i].endSec >= beforeSec })
-		if hi <= lo {
-			return History{}
-		}
-		if w, ok := s.histCache[c]; ok && w.lo == lo && w.hi == hi {
-			return w.h
-		}
-		for _, rec := range recs[lo:hi] {
-			xs = append(xs, rec.untouched)
-		}
-	} else {
+	if s.histUnsorted[c] {
+		xs := s.histScratch[:0]
 		for _, rec := range recs {
 			if rec.endSec < beforeSec && rec.endSec >= beforeSec-windowSec {
 				xs = append(xs, rec.untouched)
 			}
 		}
+		s.histScratch = xs
 		if len(xs) == 0 {
-			s.histScratch = xs
 			return History{}
 		}
+		sort.Float64s(xs)
+		return summarize(xs)
 	}
-	sort.Float64s(xs)
-	h := History{
+	// Records are endSec-ascending: the window is the contiguous span
+	// [lo, hi) with lo the first record >= beforeSec-windowSec and hi the
+	// first record >= beforeSec.
+	from := beforeSec - windowSec
+	lo := sort.Search(len(recs), func(i int) bool { return recs[i].endSec >= from })
+	hi := sort.Search(len(recs), func(i int) bool { return recs[i].endSec >= beforeSec })
+	if hi <= lo {
+		return History{}
+	}
+	w, ok := s.histCache[c]
+	if ok && w.lo == lo && w.hi == hi {
+		return w.h
+	}
+	if !ok || !w.exact || lo < w.lo || lo > w.hi || hi < w.hi ||
+		(lo-w.lo)+(hi-w.hi) > maxWindowMoves || !w.slide(recs, lo, hi) {
+		if cap(w.sorted) < hi-lo {
+			w.sorted = s.windowBuf(hi - lo)
+		}
+		w.rebuild(recs, lo, hi)
+	}
+	w.h = summarize(w.sorted)
+	s.histCache[c] = w
+	return w.h
+}
+
+// summarize computes a History from ascending untouched fractions.
+func summarize(xs []float64) History {
+	return History{
 		Count: len(xs),
 		P0:    xs[0],
 		P25:   stats.QuantileSorted(xs, 0.25),
@@ -218,11 +312,6 @@ func (s *Store) CustomerHistory(c cluster.CustomerID, beforeSec, windowSec float
 		P75:   stats.QuantileSorted(xs, 0.75),
 		P100:  xs[len(xs)-1],
 	}
-	s.histScratch = xs
-	if !s.histUnsorted[c] {
-		s.histCache[c] = histWindow{lo: lo, hi: hi, h: h}
-	}
-	return h
 }
 
 // UntouchedQuantiles pools every recorded outcome across customers and
