@@ -102,13 +102,15 @@ soak-fleet:
 		-model-scope fleet -canary 0.25 -bake 2000 \
 		-inject drift@t=8000:cells=2-3:mag=0.8 -models models-soak-fleet.json
 
-# Fuzz the user-facing spec parsers for a bounded time each (seeds run
-# as plain tests on every `go test`; this explores further, as CI does).
+# Fuzz the user-facing spec parsers and the snapshot decoder for a
+# bounded time each (seeds run as plain tests on every `go test`; this
+# explores further, as CI does).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInjections$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$'    -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopologies$$' -fuzztime $(FUZZTIME) ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSweep$$'      -fuzztime $(FUZZTIME) ./internal/experiments
 
 # Regenerate the committed golden event logs after an intentional

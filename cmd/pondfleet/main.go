@@ -43,6 +43,7 @@ import (
 	"syscall"
 
 	"pond"
+	"pond/internal/atomicfile"
 	"pond/internal/cliutil"
 	"pond/internal/fleet"
 )
@@ -398,11 +399,7 @@ func runCheckpointable(ctx context.Context, o pond.FleetOpts, path string, resum
 			if err != nil {
 				return nil, err
 			}
-			tmp := path + ".tmp"
-			if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			if err := os.Rename(tmp, path); err != nil {
+			if err := atomicfile.Write(path, append(data, '\n'), 0o644); err != nil {
 				return nil, err
 			}
 			fmt.Printf("interrupted at t=%.0fs; snapshot written to %s (resume with -resume -checkpoint %s)\n",

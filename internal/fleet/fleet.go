@@ -1049,6 +1049,7 @@ func newCellSim(cell int, o Options, insens predict.Insensitivity, threshold flo
 				mcfg.MinTrainRows = o.MinTrainRows
 			}
 			mcfg.Seed = stats.ShardSeed(o.Seed, cell)
+			mcfg.MonitorOnly = o.RetrainEverySec <= 0
 			c.mgr = mlops.NewManager(mcfg, cell, c.srv, insens, threshold, um,
 				c.ratio, o.PDM, c.pipe.SetInsensThreshold)
 			c.pipe.SetShadowHook(c.mgr.ObserveDecision)

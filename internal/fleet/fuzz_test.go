@@ -1,17 +1,20 @@
 package fleet
 
 import (
+	"context"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 )
 
-// Fuzz targets for the user-facing spec parsers. The checked-in seeds
-// (f.Add plus testdata/fuzz corpora) run on every ordinary `go test`;
-// the CI fuzz job additionally explores for a bounded time. The
-// contract under fuzzing: malformed specs must error — never panic —
-// and accepted specs must land inside their documented domains (no
-// silent clamping) and round-trip through String().
+// Fuzz targets for the user-facing spec parsers and the snapshot
+// decoder. The checked-in seeds (f.Add plus testdata/fuzz corpora) run
+// on every ordinary `go test`; the CI fuzz job additionally explores for
+// a bounded time. The contract under fuzzing: malformed specs and
+// snapshots must error — never panic — and accepted specs must land
+// inside their documented domains (no silent clamping) and round-trip
+// through String().
 
 func FuzzParseInjections(f *testing.F) {
 	for _, seed := range []string{
@@ -157,6 +160,79 @@ func FuzzParseTopologies(f *testing.F) {
 			if strings.TrimSpace(n) != n || n == "" {
 				t.Fatalf("returned unnormalized topology %q from %q", n, list)
 			}
+		}
+	})
+}
+
+// fuzzSnapshotOptions are the tiny cell-scoped runs whose snapshots seed
+// FuzzRestoreSnapshot: one with monitor-only mlops managers, one that
+// retrains (so the state carries trained models and training rows), and
+// one without predictions. Restoring either of the first two trains the
+// bootstrap forest; the third skips it, so mutations of the
+// model-independent state run many times faster.
+func fuzzSnapshotOptions() []Options {
+	o := DefaultOptions()
+	o.Cells = 1
+	o.Hosts = 2
+	o.EMCs = 2
+	o.PoolGB = 32
+	o.DurationSec = 200
+	o.Arrival = ArrivalModel{Kind: ArrivalPoisson, RatePerSec: 0.3, MeanLifetimeSec: 60}
+	o.Predictions = true
+	o.Injections = mustParseInjections("emc-fail@t=120")
+	retrain := o
+	retrain.RetrainEverySec = 50
+	retrain.MinTrainRows = 8
+	plain := o
+	plain.Predictions = false
+	return []Options{o, retrain, plain}
+}
+
+// FuzzRestoreSnapshot mutates real snapshots: json.Unmarshal followed by
+// RestoreRunner must return an error or a runner, never panic. Inputs
+// whose options differ from the seeds' are skipped, so a mutation cannot
+// ask for an arbitrarily large fleet; the target explores the captured
+// state and the SetState chain that installs it.
+func FuzzRestoreSnapshot(f *testing.F) {
+	ctx := context.Background()
+	pinned := map[string]bool{}
+	for _, o := range fuzzSnapshotOptions() {
+		r, err := NewRunner(ctx, o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := r.Advance(ctx, 150); err != nil {
+			f.Fatal(err)
+		}
+		snap, err := r.Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := json.Marshal(snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		opts, err := json.Marshal(snap.Options)
+		if err != nil {
+			f.Fatal(err)
+		}
+		pinned[string(opts)] = true
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Snapshot
+		if err := json.Unmarshal(data, &s); err != nil {
+			return
+		}
+		if opts, err := json.Marshal(s.Options); err != nil || !pinned[string(opts)] {
+			return
+		}
+		r, err := RestoreRunner(ctx, &s)
+		if err != nil {
+			return
+		}
+		if r == nil {
+			t.Fatal("RestoreRunner returned neither a runner nor an error")
 		}
 	})
 }

@@ -8,14 +8,18 @@ import (
 )
 
 // snapshotCases are the configurations the round-trip tests cover: the
-// plain cell-scoped path, the barriered fleet-scope release train, and
-// the elastic pool — every subsystem a snapshot must carry.
+// plain cell-scoped path, the same with retraining off (monitor-only
+// mlops managers), the barriered fleet-scope release train, and the
+// elastic pool — every subsystem a snapshot must carry.
 func snapshotCases() map[string]Options {
 	plain := testOptions()
 	plain.Predictions = true
 	plain.RetrainEverySec = 100
 	plain.MinTrainRows = 16
 	plain.Injections = mustParseInjections("emc-fail@t=200")
+
+	monitorOnly := plain
+	monitorOnly.RetrainEverySec = 0
 
 	fleetScope := testOptions()
 	fleetScope.Predictions = true
@@ -33,9 +37,62 @@ func snapshotCases() map[string]Options {
 	elastic.Injections = mustParseInjections("resize@t=150:emc=1:slices=-8,drift@t=250:mag=0.5")
 
 	return map[string]Options{
-		"cell-scope":  plain,
-		"fleet-scope": fleetScope,
-		"elastic":     elastic,
+		"cell-scope":   plain,
+		"monitor-only": monitorOnly,
+		"fleet-scope":  fleetScope,
+		"elastic":      elastic,
+	}
+}
+
+// monitorOnly reports whether o builds cell-scoped mlops managers that
+// are never ticked.
+func monitorOnly(o Options) bool {
+	return o.Predictions && o.ModelScope != ScopeFleet && o.RetrainEverySec == 0
+}
+
+// addDeadTrainingRows gives every cell's mlops section the training rows
+// and pending feature copies an older build wrote for monitor-only
+// managers, failing if the snapshot already carried any.
+func addDeadTrainingRows(t *testing.T, s *Snapshot) {
+	t.Helper()
+	checkNoTrainingRows(t, s)
+	row := make([]float64, 200)
+	for k := range row {
+		row[k] = float64(k) / 200
+	}
+	for i := range s.Cells {
+		ms := s.Cells[i].Mlops
+		if ms == nil {
+			t.Fatalf("cell %d: no mlops section", i)
+		}
+		ms.UMX = [][]float64{{1, 2, 3}, {4, 5, 6}}
+		ms.UMY = []float64{0.25, 0.5}
+		ms.InsX = [][]float64{row, row}
+		ms.InsY = []float64{0, 1}
+		for k := range ms.Pending {
+			ms.Pending[k].Feats = []float64{7, 8, 9}
+		}
+	}
+}
+
+// checkNoTrainingRows fails if any cell's mlops section carries training
+// rows or pending feature copies.
+func checkNoTrainingRows(t *testing.T, s *Snapshot) {
+	t.Helper()
+	for i, c := range s.Cells {
+		ms := c.Mlops
+		if ms == nil {
+			continue
+		}
+		if len(ms.UMX)+len(ms.UMY)+len(ms.InsX)+len(ms.InsY) > 0 {
+			t.Fatalf("cell %d: monitor-only snapshot carries %d/%d/%d/%d training rows",
+				i, len(ms.UMX), len(ms.UMY), len(ms.InsX), len(ms.InsY))
+		}
+		for _, p := range ms.Pending {
+			if p.Feats != nil {
+				t.Fatalf("cell %d: pending vm %d carries a feature copy", i, p.VM)
+			}
+		}
 	}
 }
 
@@ -94,6 +151,12 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 				if err := json.Unmarshal(wire, &loaded); err != nil {
 					t.Fatal(err)
 				}
+				if monitorOnly(o) {
+					// Restore what an older build wrote: dead training
+					// rows the restore must drop without changing a byte
+					// of the remaining run.
+					addDeadTrainingRows(t, &loaded)
+				}
 
 				restored, err := RestoreRunner(ctx, &loaded)
 				if err != nil {
@@ -101,6 +164,13 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 				}
 				if restored.Now() != r.Now() {
 					t.Fatalf("restored clock %g, want %g", restored.Now(), r.Now())
+				}
+				if monitorOnly(o) {
+					again, err := restored.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkNoTrainingRows(t, again)
 				}
 				rep, err := restored.Finish(ctx)
 				if err != nil {

@@ -65,6 +65,11 @@ type Config struct {
 	LabelRate float64
 	// Seed roots every challenger's training RNG.
 	Seed int64
+	// MonitorOnly marks a manager that is never ticked: it shadow-scores
+	// decisions and keeps the rolling holdout losses, but it never trains,
+	// so it keeps no training rows and no per-VM feature copies, in memory
+	// or in State.
+	MonitorOnly bool
 }
 
 // DefaultConfig returns the lifecycle defaults used by the fleet loop.
@@ -293,6 +298,7 @@ type Manager struct {
 	umX                    fifo.Window[[]float64]
 	umY                    fifo.Window[float64]
 	umMeta                 map[int]trainMeta
+	featBuf                []float64 // monitor-only scoring copy
 
 	// Latency-insensitivity family.
 	insChamp, insChall, insFb          predict.Insensitivity
@@ -343,8 +349,20 @@ func (m *Manager) ObserveDecision(vm cluster.VMRequest, counters *pmu.Vector, um
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	feats := append([]float64(nil), umFeatures...)
-	p := umPending{feats: feats, champVer: -1, challVer: -1, fbVer: -1}
+	// The models score a copy, never umFeatures itself: handing the
+	// parameter to an interface method would make it escape, forcing
+	// every caller to heap-allocate the slice it passes.
+	p := umPending{champVer: -1, challVer: -1, fbVer: -1}
+	var feats []float64
+	if m.cfg.MonitorOnly {
+		// Nothing keeps the row, so one reused buffer serves every call.
+		m.featBuf = append(m.featBuf[:0], umFeatures...)
+		feats = m.featBuf
+	} else {
+		// The row becomes a training row at departure.
+		feats = append([]float64(nil), umFeatures...)
+		p.feats = feats
+	}
 	if m.umChamp != nil {
 		p.champ = m.umChamp.PredictUntouchedFrac(feats)
 		p.champVer = m.umLC.champVer
@@ -380,8 +398,10 @@ func (m *Manager) ObserveOutcome(vm cluster.VMRequest, counters pmu.Vector, have
 			o.fbLoss = UMLoss(p.fb, label, m.cfg.OverPenalty)
 		}
 		m.umLC.observe(o, m.cfg.HoldoutWindow)
-		m.umX.Push(p.feats, m.cfg.MaxTrainRows)
-		m.umY.Push(label, m.cfg.MaxTrainRows)
+		if !m.cfg.MonitorOnly {
+			m.umX.Push(p.feats, m.cfg.MaxTrainRows)
+			m.umY.Push(label, m.cfg.MaxTrainRows)
+		}
 	}
 
 	if haveCounters && vm.GroundTruth.Workload.Name != "" {
@@ -406,6 +426,9 @@ func (m *Manager) ObserveOutcome(vm cluster.VMRequest, counters pmu.Vector, have
 			o.fbLoss = UMLoss(m.insFb.Score(counters), label, m.cfg.OverPenalty)
 		}
 		m.insLC.observe(o, m.cfg.HoldoutWindow)
+		if m.cfg.MonitorOnly {
+			return
+		}
 		// A full buffer is about to evict its oldest row; nothing else
 		// holds rows (training and snapshots copy them), so its storage
 		// takes the new row.

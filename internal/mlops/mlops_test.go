@@ -1,6 +1,7 @@
 package mlops
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -226,4 +227,74 @@ func TestConcurrentScoringDuringSwap(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestMonitorOnlyKeepsNoTrainingRows drives a monitor-only manager and a
+// training-capable one through the same never-ticked stream. The
+// monitor-only State must be the other's with the training rows and the
+// pending feature copies removed, and restoring the full state (as an
+// older build wrote it) into a monitor-only manager must drop them too.
+func TestMonitorOnlyKeepsNoTrainingRows(t *testing.T) {
+	build := func(monitorOnly bool) *Manager {
+		cfg := testConfig()
+		cfg.MonitorOnly = monitorOnly
+		srv := predict.NewServer(nil, predict.FixedUntouched{Frac: 0.2})
+		return NewManager(cfg, 0, srv, predict.CounterThreshold{Counter: pmu.MemoryBound}, 0.5,
+			predict.FixedUntouched{Frac: 0.2}, 1.82, 0.05, nil)
+	}
+	full, mon := build(false), build(true)
+	for _, m := range []*Manager{full, mon} {
+		for i := 0; i < 40; i++ {
+			vm := testVM(i, 0.1*float64(i%10))
+			m.ObserveDecision(vm, nil, feats(vm.GroundTruth.UntouchedFrac), coreDecision())
+			if i%4 != 3 { // every fourth VM stays in flight
+				m.ObserveOutcome(vm, pmu.Vector{pmu.MemoryBound: 0.1 * float64(i%7)}, true)
+			}
+		}
+	}
+	fs, err := full.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := mon.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs.UMX) == 0 || len(fs.InsX) == 0 || len(fs.Pending) != 10 || fs.Pending[0].Feats == nil {
+		t.Fatalf("training-capable manager buffered %d/%d rows and %d pending", len(fs.UMX), len(fs.InsX), len(fs.Pending))
+	}
+	msJSON, err := json.Marshal(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"um_x"`, `"um_y"`, `"ins_x"`, `"ins_y"`, `"feats"`} {
+		if strings.Contains(string(msJSON), key) {
+			t.Errorf("monitor-only state carries %s", key)
+		}
+	}
+	stripped := fs
+	stripped.UMX, stripped.UMY, stripped.InsX, stripped.InsY = nil, nil, nil, nil
+	stripped.Pending = append([]PendingState(nil), fs.Pending...)
+	for i := range stripped.Pending {
+		stripped.Pending[i].Feats = nil
+	}
+	want, err := json.Marshal(stripped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(msJSON) != string(want) {
+		t.Fatal("monitor-only state differs from the full state beyond its training rows")
+	}
+
+	restored := build(true)
+	if err := restored.SetState(fs); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := restored.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := json.Marshal(rs); err != nil || string(got) != string(want) {
+		t.Fatalf("monitor-only restore kept an older snapshot's training rows (err %v)", err)
+	}
 }

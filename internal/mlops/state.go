@@ -43,7 +43,7 @@ type LifecycleState struct {
 // PendingState is one in-flight VM's untouched-memory shadow scores.
 type PendingState struct {
 	VM       cluster.VMID `json:"vm"`
-	Feats    []float64    `json:"feats"`
+	Feats    []float64    `json:"feats,omitempty"`
 	Champ    float64      `json:"champ"`
 	Chall    float64      `json:"chall"`
 	Fb       float64      `json:"fb"`
@@ -304,21 +304,30 @@ func (m *Manager) SetState(s State) error {
 	}
 	setLifecycle(&m.umLC, s.UMLC, FamilyUM)
 
+	// A monitor-only manager never trains, so training rows an older
+	// build wrote into its snapshot are dead state: they are dropped
+	// rather than carried into every later snapshot.
+	keepRows := !m.cfg.MonitorOnly
 	m.umPending = make(map[cluster.VMID]umPending, len(s.Pending))
 	for _, p := range s.Pending {
-		m.umPending[p.VM] = umPending{
-			feats: append([]float64(nil), p.Feats...),
+		up := umPending{
 			champ: p.Champ, chall: p.Chall, fb: p.Fb,
 			champVer: p.ChampVer, challVer: p.ChallVer, fbVer: p.FbVer,
 		}
+		if keepRows {
+			up.feats = append([]float64(nil), p.Feats...)
+		}
+		m.umPending[p.VM] = up
 	}
 	m.umX.Reset()
-	for _, x := range s.UMX {
-		m.umX.Push(append([]float64(nil), x...), len(s.UMX))
-	}
 	m.umY.Reset()
-	for _, y := range s.UMY {
-		m.umY.Push(y, len(s.UMY))
+	if keepRows {
+		for _, x := range s.UMX {
+			m.umX.Push(append([]float64(nil), x...), len(s.UMX))
+		}
+		for _, y := range s.UMY {
+			m.umY.Push(y, len(s.UMY))
+		}
 	}
 	m.umMeta = make(map[int]trainMeta, len(s.UMMeta))
 	for _, tm := range s.UMMeta {
@@ -346,12 +355,14 @@ func (m *Manager) SetState(s State) error {
 	}
 	setLifecycle(&m.insLC, s.InsLC, FamilyInsens)
 	m.insX.Reset()
-	for _, x := range s.InsX {
-		m.insX.Push(append([]float64(nil), x...), len(s.InsX))
-	}
 	m.insY.Reset()
-	for _, y := range s.InsY {
-		m.insY.Push(y, len(s.InsY))
+	if keepRows {
+		for _, x := range s.InsX {
+			m.insX.Push(append([]float64(nil), x...), len(s.InsX))
+		}
+		for _, y := range s.InsY {
+			m.insY.Push(y, len(s.InsY))
+		}
 	}
 	m.insMeta = make(map[int]trainMeta, len(s.InsMeta))
 	for _, tm := range s.InsMeta {

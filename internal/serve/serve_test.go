@@ -556,6 +556,45 @@ func TestCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The state file is compact JSON.
+	written, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, written); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(compact.Bytes(), '\n'), written) {
+		t.Fatalf("state file is not compact JSON: %d bytes, %d compacted", len(written), compact.Len())
+	}
+
+	// A checkpoint whose write fails reports the error and leaves the
+	// previous state file byte-identical: a directory squatting on the
+	// temporary name makes the write fail.
+	if err := os.Mkdir(statePath+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Checkpoint(); err == nil {
+		t.Fatal("checkpoint over an unwritable temporary file succeeded")
+	}
+	if again, err := os.ReadFile(statePath); err != nil || !bytes.Equal(again, written) {
+		t.Fatalf("failed checkpoint changed the state file (err %v)", err)
+	}
+	if err := os.Remove(statePath + ".tmp"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Older builds wrote the state file indented; the second daemon
+	// restores from that layout.
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, written, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(statePath, indented.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	// The reference: the run's batch config executed directly.
 	want, err := pond.RunFleet(context.Background(), mustBatchConfig(t, statePath, snap.ID))
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"pond"
+	"pond/internal/atomicfile"
 	"pond/internal/obs"
 )
 
@@ -587,15 +588,14 @@ func (s *Server) checkpoint(path string) error {
 		}
 		ck.Runs = append(ck.Runs, cr)
 	}
-	data, err := json.MarshalIndent(ck, "", "  ")
+	// Compact, not indented: indentation puts every float of the
+	// embedded snapshot on its own line, more than doubling the file,
+	// and restore would scan the whitespace twice. Restore reads either.
+	data, err := json.Marshal(ck)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := atomicfile.Write(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	secs := time.Since(t0).Seconds()

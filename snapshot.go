@@ -18,8 +18,12 @@ const FleetSnapshotVersion = 1
 // VMs, telemetry, pool occupancy, model servers, rollout state, and the
 // event-log hash midstates. Restoring one resumes the run exactly where
 // it paused: the remaining event log and the final report hash are
-// byte-identical to a run that was never interrupted, and the restore
-// cost does not depend on how much simulated time had elapsed.
+// byte-identical to a run that was never interrupted. Restoring
+// re-simulates nothing, so its cost tracks the size of the state carried,
+// not the simulated time elapsed; but part of that state grows with the
+// run: the undrained event-log tail (all of it for a batch run, which
+// keeps its log for the final report), and, in a pondserve state file,
+// each run's event replay buffer stored beside its snapshot.
 //
 // Sim is versioned independently inside the payload; both Version here
 // and the payload version must match before a restore proceeds.
