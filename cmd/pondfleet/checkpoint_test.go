@@ -111,23 +111,27 @@ func TestCheckpointRestoreSkipsElapsedTime(t *testing.T) {
 	}
 	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
 	args := append(checkpointArgs("4"), "-checkpoint", ckpt)
-	var killed string
+	// A SIGTERM can land too early on a slow machine (the race detector
+	// on two vCPUs, say): before the handler is installed, or before the
+	// first Advance slice, so the snapshot is taken at t=0. Either way
+	// the attempt says nothing about a mid-run kill; retry it with a
+	// doubled delay. Each attempt starts fresh, overwriting a t=0 file.
+	delay := 500 * time.Millisecond
+	var tAtKill float64
 	for attempt := 0; ; attempt++ {
-		out, ok := runLeg(t, args, 500*time.Millisecond)
+		out, ok := runLeg(t, args, delay)
 		if strings.Contains(out, "interrupted at t=") {
-			killed = out
-			break
-		}
-		if ok {
+			if tAtKill = parseTimeAfter(t, out, "interrupted at t="); tAtKill > 0 {
+				break
+			}
+		} else if ok {
 			t.Skip("run completed before SIGTERM; timing-dependent, nothing to assert")
 		}
 		if attempt > 5 {
-			t.Fatalf("no mid-run kill after %d attempts:\n%s", attempt, out)
+			t.Fatalf("no mid-run kill after %d attempts (last landed at t=%g):\n%s", attempt, tAtKill, out)
 		}
-	}
-	tAtKill := parseTimeAfter(t, killed, "interrupted at t=")
-	if tAtKill <= 0 {
-		t.Fatalf("kill landed at t=%g; expected mid-run", tAtKill)
+		delay *= 2
+		t.Logf("attempt %d: kill too early (t=%g); retrying with a %v delay", attempt, tAtKill, delay)
 	}
 
 	out, ok := runLeg(t, append(args, "-resume"), 0)

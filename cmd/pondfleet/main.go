@@ -50,8 +50,8 @@ import (
 
 // flags carries every pondfleet flag value so validation is testable
 // without exec'ing the binary. The grouped opts hold everything the
-// shared cliutil registrations own; the spec-string and output flags
-// are pondfleet-local.
+// shared cliutil registrations own, plus the parsed -arrival and
+// -inject specs; the spec strings and output flags are pondfleet-local.
 type flags struct {
 	topologies string
 	arrival    string
@@ -64,15 +64,16 @@ type flags struct {
 	opts       pond.FleetOpts
 }
 
-// baseOpts seeds the grouped defaults the flag registrations use.
-// Arrivals are zeroed because the -arrival spec string carries the
-// arrival model (the shim maps it; leaving both set would trip the
-// conflict check), and the topology comes from the -topology list.
-func baseOpts() pond.FleetOpts {
-	o := pond.Defaults()
-	o.Arrivals = pond.ArrivalOpts{}
-	o.Cluster.Topology = ""
-	return o
+// parseSpecs parses the -arrival and -inject spec strings into the
+// grouped options.
+func (f *flags) parseSpecs() error {
+	a, err := fleet.ParseArrival(f.arrival)
+	if err != nil {
+		return err
+	}
+	f.opts.Arrivals = pond.ArrivalOpts{Process: a.Kind, RatePerSec: a.RatePerSec, MeanLifetimeSec: a.MeanLifetimeSec}
+	f.opts.Injections, err = pond.ParseInjections(f.inject)
+	return err
 }
 
 // validate rejects every flag combination the fleet layer would only
@@ -163,8 +164,8 @@ func validate(f flags) ([]string, error) {
 }
 
 func main() {
-	f := flags{opts: baseOpts()}
 	d := pond.Defaults()
+	f := flags{opts: d}
 	flag.StringVar(&f.topologies, "topology", d.Cluster.Topology, "comma-separated host-to-EMC topologies: flat, sharded, sparse")
 	flag.StringVar(&f.arrival, "arrival", d.Arrivals.Spec(), `arrival model: "poisson[:rate=R][:life=L]" or "trace"`)
 	flag.StringVar(&f.inject, "inject", "", `scenario injections, e.g. "emc-fail@t=500,host-drain@t=800:host=2,surge@t=300:dur=200:x=3,drift@t=2000:cells=2-3:mag=0.6"`)
@@ -179,6 +180,9 @@ func main() {
 	cliutil.RegisterEngineFlags(flag.CommandLine, &f.opts.Engine)
 	flag.Parse()
 
+	if err := f.parseSpecs(); err != nil {
+		cliutil.Fatal("pondfleet", err)
+	}
 	names, err := validate(f)
 	if err != nil {
 		cliutil.Fatal("pondfleet", err)
@@ -188,19 +192,15 @@ func main() {
 	for _, name := range names {
 		o := f.opts
 		o.Cluster.Topology = name
-		o.Arrival = f.arrival
-		o.Inject = f.inject
 		o.Model.Capture = f.modelsOut != ""
 		var rep *pond.FleetReport
 		var err error
-		if f.checkpoint != "" {
-			rep, err = runCheckpointable(context.Background(), o, f.checkpoint, f.resume, f.metricsOut)
+		if f.checkpoint != "" || f.metricsOut != "" {
+			rep, err = runIncremental(context.Background(), o, f.checkpoint, f.resume, f.metricsOut)
 			if err == nil && rep == nil {
 				// A signal paused the run and its snapshot is on disk.
 				return
 			}
-		} else if f.metricsOut != "" {
-			rep, err = runStreamingMetrics(context.Background(), o, f.metricsOut)
 		} else {
 			rep, err = pond.RunFleet(context.Background(), o)
 		}
@@ -288,61 +288,26 @@ func (w *metricsWriter) Close() error {
 	return w.f.Close()
 }
 
-// runStreamingMetrics drives one run incrementally, draining the
-// sampled series to the -metrics file after every slice so the NDJSON
-// output follows the simulation rather than appearing at the end.
-func runStreamingMetrics(ctx context.Context, o pond.FleetOpts, metricsPath string) (*pond.FleetReport, error) {
-	fr, err := pond.StartFleet(ctx, o)
-	if err != nil {
-		return nil, err
-	}
-	mw, err := openMetricsWriter(metricsPath, false)
-	if err != nil {
-		return nil, err
-	}
-	horizon := fr.Progress().DurationSec
-	slice := horizon / 64
-	for !fr.Done() {
-		if err := fr.Advance(ctx, fr.Now()+slice); err != nil {
-			mw.Close()
-			return nil, err
-		}
-		if err := mw.writeRows(fr.DrainMetrics()); err != nil {
-			mw.Close()
-			return nil, err
-		}
-	}
-	rep, err := fr.Finish(ctx)
-	if err != nil {
-		mw.Close()
-		return nil, err
-	}
-	if err := mw.writeRows(fr.DrainMetrics()); err != nil {
-		mw.Close()
-		return nil, err
-	}
-	if err := mw.Close(); err != nil {
-		return nil, err
-	}
-	fmt.Printf("streamed metrics to %s\n", metricsPath)
-	return rep, nil
-}
-
-// runCheckpointable drives one run incrementally so SIGTERM/SIGINT can
-// pause it at a safe point and persist its full state. It returns
-// (nil, nil) when a signal stopped the run and the snapshot was
-// written; resuming later continues from that point, and the final
+// runIncremental drives one run slice by slice. With a checkpoint path,
+// SIGTERM/SIGINT pauses it at a safe point and persists its full state:
+// it returns (nil, nil) when a signal stopped the run and the snapshot
+// was written; resuming later continues from that point, and the final
 // event log and report hash are byte-identical to an uninterrupted run.
-// With metricsPath set the sampled series streams to NDJSON alongside;
-// rows not yet drained when a signal lands ride inside the snapshot and
-// are appended after -resume.
-func runCheckpointable(ctx context.Context, o pond.FleetOpts, path string, resume bool, metricsPath string) (*pond.FleetReport, error) {
+// With metricsPath set the sampled series streams to NDJSON after every
+// slice, so the output follows the simulation rather than appearing at
+// the end; rows not yet drained when a signal lands ride inside the
+// snapshot and are appended after -resume.
+func runIncremental(ctx context.Context, o pond.FleetOpts, path string, resume bool, metricsPath string) (*pond.FleetReport, error) {
 	// Catch SIGINT/SIGTERM before the (possibly slow) restore or start,
 	// so a signal landing there is handled rather than killing the
-	// process.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
+	// process. Without a checkpoint path sig stays nil, which never
+	// fires, and a signal keeps its default action.
+	var sig chan os.Signal
+	if path != "" {
+		sig = make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sig)
+	}
 
 	var fr *pond.FleetRun
 	if resume {
@@ -420,6 +385,12 @@ func runCheckpointable(ctx context.Context, o pond.FleetOpts, path string, resum
 	}
 	if err := mw.writeRows(fr.DrainMetrics()); err != nil {
 		return nil, err
+	}
+	if mw != nil {
+		if err := mw.Close(); err != nil {
+			return nil, err
+		}
+		fmt.Printf("streamed metrics to %s\n", metricsPath)
 	}
 	return rep, nil
 }

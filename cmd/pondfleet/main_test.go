@@ -5,6 +5,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"pond"
 )
 
 // defaults mirrors the flag defaults main registers; each table case
@@ -13,7 +15,7 @@ func defaults() flags {
 	return flags{
 		topologies: "flat",
 		arrival:    "poisson:rate=0.05:life=600",
-		opts:       baseOpts(),
+		opts:       pond.Defaults(),
 	}
 }
 

@@ -37,7 +37,7 @@ func renderDefaultsDoc() string {
 	for i := 0; i < dt.NumField(); i++ {
 		group := dt.Field(i)
 		if group.Type.Kind() != reflect.Struct {
-			continue // Injections and the deprecated flat fields
+			continue // Injections
 		}
 		groupKey := strings.Split(group.Tag.Get("json"), ",")[0]
 		gv := dv.Field(i)

@@ -84,7 +84,7 @@ func Generate(cfg GenConfig) []Trace {
 			return GenerateCluster(cfg, i, stats.NewRand(seed)), nil
 		})
 	if err != nil {
-		panic("cluster: " + err.Error()) // unreachable: jobs cannot fail
+		panic("cluster: " + err.Error()) // unreachable: items cannot fail
 	}
 
 	// Renumber cluster-local IDs into the fleet-wide sequence, exactly as

@@ -14,12 +14,10 @@ import (
 	"pond/internal/stats"
 )
 
-// drawJob returns a job whose result is a tuple of draws from its RNG;
-// any cross-job stream sharing or seed drift shows up immediately.
-func drawJob(name string) Job {
-	return Job{Name: name, Run: func(rng *stats.Rand) (any, error) {
-		return [3]float64{rng.Float64(), rng.Float64(), rng.NormFloat64()}, nil
-	}}
+// draws returns a tuple of draws from the item's RNG; any cross-item
+// stream sharing or seed drift shows up immediately.
+func draws(_ int, _ struct{}, rng *stats.Rand) ([3]float64, error) {
+	return [3]float64{rng.Float64(), rng.Float64(), rng.NormFloat64()}, nil
 }
 
 func TestSeedForIsOrderIndependent(t *testing.T) {
@@ -42,20 +40,13 @@ func TestSeedForIsOrderIndependent(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	const n = 64
-	mkJobs := func() []Job {
-		jobs := make([]Job, n)
-		for i := range jobs {
-			jobs[i] = drawJob(fmt.Sprintf("job-%d", i))
-		}
-		return jobs
-	}
-	ref, err := Run(context.Background(), mkJobs(), Options{Workers: 1, Seed: 42})
+	items := make([]struct{}, 64)
+	ref, err := Map(context.Background(), items, Options{Workers: 1, Seed: 42}, draws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8, 33} {
-		got, err := Run(context.Background(), mkJobs(), Options{Workers: workers, Seed: 42})
+		got, err := Map(context.Background(), items, Options{Workers: workers, Seed: 42}, draws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +55,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 	// A different root seed must change the streams.
-	other, err := Run(context.Background(), mkJobs(), Options{Workers: 4, Seed: 43})
+	other, err := Map(context.Background(), items, Options{Workers: 4, Seed: 43}, draws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,60 +69,54 @@ func TestRunStealsUnevenWork(t *testing.T) {
 		// Still runs; stealing just cannot be observed via concurrency.
 		t.Log("single-proc box: exercising the stealing path without true parallelism")
 	}
-	// Front-load all the slow work onto worker 0's deque (indexes 0..3
-	// with 4 workers land on workers 0..3 round-robin, so instead make
-	// every 4th job slow: they all belong to worker 0).
+	// Items are dealt round-robin, so with 4 workers every 4th item
+	// belongs to worker 0: make exactly those slow.
 	const n = 32
 	var ran atomic.Int64
-	jobs := make([]Job, n)
-	for i := range jobs {
-		slow := i%4 == 0
-		jobs[i] = Job{Run: func(rng *stats.Rand) (any, error) {
-			if slow {
+	res, err := Map(context.Background(), make([]struct{}, n), Options{Workers: 4, Seed: 1},
+		func(i int, _ struct{}, rng *stats.Rand) (*int64, error) {
+			if i%4 == 0 {
 				time.Sleep(5 * time.Millisecond)
 			}
 			ran.Add(1)
-			return rng.Int63(), nil
-		}}
-	}
-	res, err := Run(context.Background(), jobs, Options{Workers: 4, Seed: 1})
+			v := rng.Int63()
+			return &v, nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != n {
-		t.Fatalf("ran %d of %d jobs", ran.Load(), n)
+		t.Fatalf("ran %d of %d items", ran.Load(), n)
 	}
 	for i, r := range res {
 		if r == nil {
-			t.Fatalf("job %d has no result", i)
+			t.Fatalf("item %d has no result", i)
 		}
 	}
 }
 
 func TestRunJoinsErrorsInJobOrder(t *testing.T) {
-	boom := errors.New("boom")
-	jobs := []Job{
-		drawJob("ok-0"),
-		{Name: "bad-1", Run: func(*stats.Rand) (any, error) { return nil, boom }},
-		drawJob("ok-2"),
-		{Name: "bad-3", Run: func(*stats.Rand) (any, error) { return nil, boom }},
-	}
-	res, err := Run(context.Background(), jobs, Options{Workers: 2, Seed: 1})
+	items := []string{"ok-0", "bad-1", "ok-2", "bad-3"}
+	res, err := Map(context.Background(), items, Options{Workers: 2, Seed: 1},
+		func(_ int, name string, _ *stats.Rand) (string, error) {
+			if strings.HasPrefix(name, "bad") {
+				return "partial-" + name, errors.New(name + ": boom")
+			}
+			return name, nil
+		})
 	if err == nil {
 		t.Fatal("errors swallowed")
 	}
 	msg := err.Error()
 	if !strings.Contains(msg, "bad-1") || !strings.Contains(msg, "bad-3") {
-		t.Fatalf("error missing job names: %v", err)
+		t.Fatalf("error missing item names: %v", err)
 	}
 	if strings.Index(msg, "bad-1") > strings.Index(msg, "bad-3") {
-		t.Fatalf("errors not in job order: %v", err)
+		t.Fatalf("errors not in item order: %v", err)
 	}
-	if res[0] == nil || res[2] == nil {
-		t.Fatal("successful jobs lost their results")
-	}
-	if res[1] != nil || res[3] != nil {
-		t.Fatal("failed jobs produced results")
+	want := []string{"ok-0", "partial-bad-1", "ok-2", "partial-bad-3"}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("results %v, want %v (failed items keep what fn returned)", res, want)
 	}
 }
 
@@ -139,29 +124,26 @@ func TestRunHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	jobs := make([]Job, 16)
-	for i := range jobs {
-		jobs[i] = Job{Run: func(rng *stats.Rand) (any, error) {
+	_, err := Map(ctx, make([]struct{}, 16), Options{Workers: 4, Seed: 1},
+		func(int, struct{}, *stats.Rand) (struct{}, error) {
 			ran.Add(1)
-			return nil, nil
-		}}
-	}
-	_, err := Run(ctx, jobs, Options{Workers: 4, Seed: 1})
+			return struct{}{}, nil
+		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if ran.Load() == 16 {
-		t.Fatal("cancelled run executed every job")
+		t.Fatal("cancelled run executed every item")
 	}
 }
 
 func TestRunEmptyAndSingle(t *testing.T) {
-	if res, err := Run(context.Background(), nil, Options{}); err != nil || len(res) != 0 {
+	if res, err := Map(context.Background(), nil, Options{}, draws); err != nil || len(res) != 0 {
 		t.Fatalf("empty run: %v %v", res, err)
 	}
-	res, err := Run(context.Background(), []Job{drawJob("only")}, Options{Workers: 8, Seed: 5})
-	if err != nil || len(res) != 1 || res[0] == nil {
-		t.Fatalf("single job run: %v %v", res, err)
+	res, err := Map(context.Background(), []struct{}{{}}, Options{Workers: 8, Seed: 5}, draws)
+	if err != nil || len(res) != 1 || res[0] == ([3]float64{}) {
+		t.Fatalf("single item run: %v %v", res, err)
 	}
 }
 

@@ -75,7 +75,7 @@ func fanOut[T, R any](rc RunConfig, items []T, fn func(i int, item T, rng *stats
 			return fn(i, item, rng), nil
 		})
 	if err != nil {
-		panic("experiments: " + err.Error()) // unreachable: jobs cannot fail
+		panic("experiments: " + err.Error()) // unreachable: items cannot fail
 	}
 	return out
 }

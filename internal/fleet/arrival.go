@@ -118,17 +118,35 @@ func synthCustomers(n int, r *stats.Rand) []cluster.Customer {
 	return out
 }
 
+// maxExpectedArrivals caps the expected arrival count of one cell's
+// stream. It sits over 100x above the largest configuration the repo
+// runs (24,000 arrivals per cell) and keeps an absurd rate, horizon or
+// surge an error instead of a slice allocation that cannot succeed.
+const maxExpectedArrivals = 3_000_000
+
 // expectedArrivals estimates the Poisson stream length (base process
-// plus surge extras, ~10% headroom) so the arrival slice is allocated
-// once. Only capacity — never content — depends on the estimate.
-func expectedArrivals(o Options) int {
+// plus surge extras clipped to the horizon, ~10% headroom) so the
+// arrival slice is allocated once. Only capacity — never content —
+// depends on the estimate. It stays a float64 so normalize can bound it
+// before any int conversion.
+func expectedArrivals(o Options) float64 {
 	n := o.Arrival.RatePerSec * o.DurationSec
 	for _, inj := range o.Injections {
 		if inj.Kind == InjectSurge && inj.Factor > 1 {
-			n += o.Arrival.RatePerSec * (inj.Factor - 1) * inj.DurSec
+			n += o.Arrival.RatePerSec * (inj.Factor - 1) * math.Min(inj.DurSec, o.DurationSec-inj.AtSec)
 		}
 	}
-	return int(n+n/10) + 16
+	return n + n/10 + 16
+}
+
+// checkArrivalCeiling rejects options whose expected stream exceeds
+// maxExpectedArrivals (a NaN estimate included).
+func checkArrivalCeiling(o Options) error {
+	if n := expectedArrivals(o); !(n <= maxExpectedArrivals) {
+		return fmt.Errorf("fleet: arrival rate %g/s over %gs expects %.3g arrivals per cell, surges included; the ceiling is %d",
+			o.Arrival.RatePerSec, o.DurationSec, n, maxExpectedArrivals)
+	}
+	return nil
 }
 
 // catalogueCache avoids re-copying the 158-workload catalogue on every
@@ -299,7 +317,7 @@ func generateArrivals(o Options, cell int, seed int64) []cluster.VMRequest {
 			stats.NewRand(stats.HashWords(uint64(seed), driftForkLabel)))
 		// Presize for the expected stream (surge extras included below
 		// share the slice); capacity never affects the drawn contents.
-		vms = make([]cluster.VMRequest, 0, expectedArrivals(o))
+		vms = make([]cluster.VMRequest, 0, int(expectedArrivals(o)))
 		for t := rArr.Exponential(1 / o.Arrival.RatePerSec); t < o.DurationSec; t += rArr.Exponential(1 / o.Arrival.RatePerSec) {
 			pop := populationAt(t, driftTimes, epochs)
 			cust := pop[rArr.Intn(len(pop))]

@@ -236,6 +236,15 @@ func normalize(o Options) (Options, error) {
 	if o.ModelScope == "" {
 		o.ModelScope = ScopeCell
 	}
+	if o.Arrival.Kind != ArrivalPoisson && o.Arrival.Kind != ArrivalTrace {
+		return o, fmt.Errorf("fleet: unknown arrival model %q (want %s or %s)", o.Arrival.Kind, ArrivalPoisson, ArrivalTrace)
+	}
+	for _, v := range []float64{o.DurationSec, o.Arrival.RatePerSec, o.Arrival.MeanLifetimeSec} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return o, fmt.Errorf("fleet: duration %gs, arrival rate %g/s and lifetime %gs must be finite",
+				o.DurationSec, o.Arrival.RatePerSec, o.Arrival.MeanLifetimeSec)
+		}
+	}
 	if o.PoolGB < o.EMCs {
 		return o, fmt.Errorf("fleet: pool of %d GB cannot shard across %d EMCs", o.PoolGB, o.EMCs)
 	}
@@ -314,7 +323,7 @@ func normalize(o Options) (Options, error) {
 			return o, err
 		}
 	}
-	return o, nil
+	return o, checkArrivalCeiling(o)
 }
 
 // NormalizeOptions fills zero fields from the defaults and validates the
@@ -546,7 +555,7 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	// go through the Runner — the one implementation of the barrier
 	// loop, shared with pondserve's live runs. Everything else takes the
 	// one-shot fast path: each cell is built, run to the horizon, and
-	// finished inside a single engine job with no intermediate state.
+	// finished inside a single engine item with no intermediate state.
 	if (o.ModelScope == ScopeFleet && o.RetrainEverySec > 0) || o.ElasticPool {
 		r, rerr := newRunner(ctx, o, insens, threshold)
 		if rerr != nil {

@@ -138,6 +138,61 @@ func FuzzParseArrival(f *testing.F) {
 	})
 }
 
+// FuzzNormalizeArrival feeds arrival values and a surge spec straight
+// to normalize, the path the Go API and pondserve bodies take without
+// the -arrival string parser: whatever it accepts must be a known
+// process with finite positive values whose expected stream fits under
+// maxExpectedArrivals, so arrival generation can allocate it.
+func FuzzNormalizeArrival(f *testing.F) {
+	for _, seed := range []struct {
+		kind            string
+		rate, life, dur float64
+		surge           string
+	}{
+		{"poisson", 0.05, 600, 1800, ""},
+		{"poisson", 0.2, 600, 120000, ""},
+		{"trace", 0, 0, 86400, ""},
+		{"", 0, 0, 0, ""},
+		{"bogus", 0.05, 600, 1800, ""},
+		{"poisson", 1e300, 600, 1800, ""},
+		{"poisson", 25, 600, 120000, ""},
+		{"poisson", math.NaN(), 600, 1800, ""},
+		{"poisson", math.Inf(1), 600, 1800, ""},
+		{"poisson", 0.05, math.Inf(1), 1800, ""},
+		{"poisson", 0.05, 600, math.NaN(), ""},
+		{"poisson", 0.05, 600, math.Inf(1), ""},
+		{"poisson", 0.2, 600, 1800, "surge@t=300:dur=200:x=3"},
+		{"poisson", 0.2, 600, 1800, "surge@t=0:dur=1e300:x=1e300"},
+		{"poisson", 0.2, 600, 1800, "surge@t=100:dur=1e9:x=3"},
+	} {
+		f.Add(seed.kind, seed.rate, seed.life, seed.dur, seed.surge)
+	}
+	f.Fuzz(func(t *testing.T, kind string, rate, life, dur float64, surge string) {
+		o := DefaultOptions()
+		o.Arrival = ArrivalModel{Kind: kind, RatePerSec: rate, MeanLifetimeSec: life}
+		o.DurationSec = dur
+		if ins, err := ParseInjections(surge); err == nil {
+			o.Injections = ins
+		}
+		n, err := normalize(o)
+		if err != nil {
+			return
+		}
+		if n.Arrival.Kind != ArrivalPoisson && n.Arrival.Kind != ArrivalTrace {
+			t.Fatalf("accepted unknown arrival kind %q", n.Arrival.Kind)
+		}
+		for _, v := range []float64{n.Arrival.RatePerSec, n.Arrival.MeanLifetimeSec, n.DurationSec} {
+			if !(v > 0) || math.IsInf(v, 0) {
+				t.Fatalf("accepted out-of-domain arrival %+v over %gs", n.Arrival, n.DurationSec)
+			}
+		}
+		if e := expectedArrivals(n); !(e >= 0 && e <= maxExpectedArrivals) {
+			t.Fatalf("accepted %+v over %gs with %v: %g expected arrivals, want [0, %d]",
+				n.Arrival, n.DurationSec, n.Injections, e, maxExpectedArrivals)
+		}
+	})
+}
+
 func FuzzParseTopologies(f *testing.F) {
 	for _, seed := range []string{
 		"flat", "flat,sharded,sparse", "flat, sharded", "", ",", "flat,",

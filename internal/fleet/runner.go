@@ -272,13 +272,18 @@ func (r *Runner) AddInjection(in Injection) error {
 	if err := ValidateInjection(in, r.o); err != nil {
 		return err
 	}
+	// Full-slice append, mirroring liveInject: the original list may
+	// share its backing array with the caller's options.
+	o := r.o
+	n := len(o.Injections)
+	o.Injections = append(o.Injections[:n:n], in)
+	if err := checkArrivalCeiling(o); err != nil {
+		return err
+	}
 	for _, s := range r.sims {
 		s.liveInject(in, r.now)
 	}
-	// Full-slice append, mirroring liveInject: the original list may
-	// share its backing array with the caller's options.
-	n := len(r.o.Injections)
-	r.o.Injections = append(r.o.Injections[:n:n], in)
+	r.o = o
 	return nil
 }
 

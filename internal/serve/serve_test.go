@@ -155,6 +155,26 @@ func TestEndpointsTable(t *testing.T) {
 		}
 	})
 
+	t.Run("start-absurd-arrival-rate", func(t *testing.T) {
+		// A rate whose expected stream cannot be allocated must be a 400,
+		// not a daemon-killing panic in arrival generation.
+		resp := postJSON(t, ts.URL+"/runs", map[string]any{
+			"opts": map[string]any{"arrival": map[string]any{"rate_per_sec": 1e300}},
+		})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", resp.StatusCode)
+		}
+		health, err := client.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		health.Body.Close()
+		if health.StatusCode != http.StatusOK {
+			t.Fatalf("healthz status %d after the rejected run, want 200", health.StatusCode)
+		}
+	})
+
 	t.Run("start-empty-opts", func(t *testing.T) {
 		// All-default options: the horizon must come from normalization
 		// (the raw config carries duration_sec 0), so the run advances and
@@ -283,6 +303,7 @@ func TestEndpointsTable(t *testing.T) {
 			{`{"injection": "meteor@t=1"}`, "unknown injection"},
 			{`{"injection": "emc-fail@t=200:emc=99"}`, "targets EMC"},
 			{`{"injection": "emc-fail@t=50"}`, "before the current time"},
+			{`{"injection": "surge@t=150:dur=100:x=1e300"}`, "ceiling"},
 			{`{}`, `missing "injection"`},
 		}
 		for _, tc := range cases {
@@ -750,49 +771,43 @@ func mustGet(t *testing.T, url string) *http.Response {
 	return resp
 }
 
-// TestCheckpointV1LegacyRestore hand-writes a version-1 (unversioned,
-// config-only) state file and checks the daemon still restores it by
-// re-running the configuration, reproducing the batch report.
-func TestCheckpointV1LegacyRestore(t *testing.T) {
-	statePath := filepath.Join(t.TempDir(), "checkpoint.json")
+// TestCheckpointRestoreRefusesLegacyFiles pins the single state-file
+// format: New refuses an unversioned (config-only) file, and a current
+// file whose parked run has no snapshot to resume from, instead of
+// silently re-running either from t=0.
+func TestCheckpointRestoreRefusesLegacyFiles(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-
-	var opts pond.FleetOpts
-	data, _ := json.Marshal(tinyOpts())
-	if err := json.Unmarshal(data, &opts); err != nil {
-		t.Fatal(err)
-	}
-	v1 := map[string]any{
-		"next_id": 1,
-		"runs":    []map[string]any{{"id": "r1", "opts": json.RawMessage(data)}},
-	}
-	fileData, err := json.Marshal(v1)
+	opts, err := json.Marshal(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(statePath, fileData, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	want, err := pond.RunFleet(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := New(Config{StatePath: statePath, Log: logger})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ts.Close()
-		if err := s.Shutdown(); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	}()
-	done := waitState(t, ts.URL, "r1", StateDone)
-	if done.Report.LogSHA256 != want.LogSHA256 {
-		t.Fatalf("v1-restored run sha %s != batch sha %s", done.Report.LogSHA256, want.LogSHA256)
+	run := map[string]any{"id": "r1", "opts": json.RawMessage(opts)}
+	for _, tc := range []struct {
+		name string
+		file map[string]any
+		want string
+	}{
+		{"unversioned", map[string]any{"next_id": 1, "runs": []any{run}}, "version 0"},
+		{"no-snapshot", map[string]any{"version": checkpointVersion, "next_id": 1, "runs": []any{run}}, "no snapshot"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			statePath := filepath.Join(t.TempDir(), "checkpoint.json")
+			data, err := json.Marshal(tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(statePath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(Config{StatePath: statePath, Log: logger})
+			if err == nil {
+				s.Shutdown()
+				t.Fatalf("New restored a %s state file", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -494,12 +494,10 @@ func (s *Server) evict() {
 	s.mu.Unlock()
 }
 
-// checkpointVersion is the current state-file format. Version 2 embeds
-// each run's full simulator snapshot, replay buffer, and remaining hold
-// points, so a restart resumes runs from their parked safe points.
-// Version-1 files (no version field) carried only the batch
-// configuration; they still restore, by re-running the configuration
-// from t=0 under the determinism contract.
+// checkpointVersion is the state-file format, the only one restore
+// reads. Version 2 embeds each run's full simulator snapshot, replay
+// buffer, and remaining hold points, so a restart resumes runs from
+// their parked safe points.
 const checkpointVersion = 2
 
 // checkpointFile is the persisted daemon state.
@@ -511,8 +509,8 @@ type checkpointFile struct {
 
 // checkpointRun is one run's persisted state: the
 // reproduce-from-scratch configuration (scheduled plus live injections,
-// already folded together by FleetRun.Config) plus, in v2, the state
-// needed to resume without re-simulation — the pre-park run state, the
+// already folded together by FleetRun.Config) plus the state needed to
+// resume without re-simulation — the pre-park run state, the
 // remaining hold points, the sequenced event buffer (so ?from= streams
 // survive the restart), and either the simulator snapshot (mid-flight
 // runs) or the final report (terminal runs).
@@ -569,7 +567,7 @@ func (r *Run) checkpointState() (checkpointRun, error) {
 }
 
 // checkpoint writes the parked registry: every run's configuration plus
-// the v2 resume state — simulator snapshots for mid-flight runs, final
+// its resume state — simulator snapshots for mid-flight runs, final
 // reports for terminal ones.
 func (s *Server) checkpoint(path string) error {
 	t0 := time.Now()
@@ -607,10 +605,10 @@ func (s *Server) checkpoint(path string) error {
 }
 
 // restore rebuilds every checkpointed run under its original ID. A
-// missing checkpoint file is a fresh start, not an error. Runs with a
-// v2 snapshot resume from their parked safe point in O(state) time;
-// terminal runs are rebuilt from their persisted report without any
-// simulation; v1 config-only runs re-execute from t=0.
+// missing checkpoint file is a fresh start, not an error. Mid-flight
+// runs resume from their snapshot at the parked safe point in O(state)
+// time; terminal runs are rebuilt from their persisted report without
+// any simulation.
 func (s *Server) restore(path string) error {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -628,8 +626,8 @@ func (s *Server) restore(path string) error {
 	if err := json.Unmarshal(data, &ck); err != nil {
 		return fmt.Errorf("corrupt checkpoint %s: %w", path, err)
 	}
-	if ck.Version != 0 && ck.Version != checkpointVersion {
-		return fmt.Errorf("checkpoint %s: version %d, this build reads versions 1 (unversioned) and %d",
+	if ck.Version != checkpointVersion {
+		return fmt.Errorf("checkpoint %s: version %d, this build reads version %d",
 			path, ck.Version, checkpointVersion)
 	}
 	s.nextID = ck.NextID
@@ -669,18 +667,10 @@ func (s *Server) restoreRun(cr checkpointRun) error {
 		s.log.Info("run restored", "id", cr.ID, "state", cr.State)
 		return nil
 	}
-	var fr *pond.FleetRun
-	var err error
-	if cr.Snapshot != nil {
-		fr, err = pond.RestoreFleet(s.ctx, cr.Snapshot)
-	} else {
-		// v1 config-only checkpoint: the snapshot is missing, so the only
-		// way back to the parked point is to re-run the configuration
-		// from t=0 — correct under the determinism contract, but paying
-		// the full re-simulation the v2 format exists to avoid.
-		s.log.Warn("v1 checkpoint has no snapshot; re-running from t=0", "id", cr.ID)
-		fr, err = pond.StartFleet(s.ctx, cr.Opts)
+	if cr.Snapshot == nil {
+		return fmt.Errorf("mid-flight run (state %q) has no snapshot to resume from", cr.State)
 	}
+	fr, err := pond.RestoreFleet(s.ctx, cr.Snapshot)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,6 @@
 package pond
 
-import (
-	"fmt"
-
-	"pond/internal/fleet"
-)
+import "pond/internal/fleet"
 
 // ClusterOpts sizes the simulated fleet: the per-cell topology and
 // hardware, how many independent cells run, and for how long. The zero
@@ -30,6 +26,9 @@ type ClusterOpts struct {
 
 // ArrivalOpts describes the VM arrival process — the declarative form
 // of the "poisson:rate=0.05:life=600" spec strings the CLI takes.
+// Values must be finite, and a rate whose expected stream (rate x
+// horizon, surges included) passes a fixed per-cell ceiling of three
+// million arrivals is rejected.
 type ArrivalOpts struct {
 	// Process is "poisson" (memoryless arrivals, exponential lifetimes)
 	// or "trace" (interarrivals derived from the cluster generator).
@@ -108,10 +107,7 @@ type EngineOpts struct {
 // FleetOpts configures RunFleet and StartFleet. Configuration lives in
 // the grouped, JSON-tagged sub-configs — the same declarative types
 // drive the Go API, the pondfleet flags, and pondserve request bodies,
-// with one validation path underneath. The flat fields mirror the
-// pre-grouping API and remain so existing callers compile unchanged;
-// each maps onto its grouped counterpart, and setting both to
-// disagreeing values is an error.
+// with one validation path underneath.
 type FleetOpts struct {
 	Cluster  ClusterOpts  `json:"cluster"`
 	Arrivals ArrivalOpts  `json:"arrival"`
@@ -122,55 +118,6 @@ type FleetOpts struct {
 	// Injections are the scheduled scenario events. In JSON each is its
 	// canonical spec string, e.g. "emc-fail@t=500:emc=1".
 	Injections []Injection `json:"injections,omitempty"`
-
-	// Deprecated: use Cluster.Topology.
-	Topology string `json:"-"`
-	// Deprecated: use Cluster.PodDegree.
-	PodDegree int `json:"-"`
-	// Deprecated: use Cluster.Hosts.
-	Hosts int `json:"-"`
-	// Deprecated: use Cluster.EMCs.
-	EMCs int `json:"-"`
-	// Deprecated: use Cluster.PoolGB.
-	PoolGB int `json:"-"`
-	// Deprecated: use Cluster.Cells.
-	Cells int `json:"-"`
-	// Deprecated: use Cluster.DurationSec.
-	DurationSec float64 `json:"-"`
-	// Deprecated: use Arrivals; this is its spec-string form, e.g.
-	// "poisson:rate=0.05:life=600".
-	Arrival string `json:"-"`
-	// Deprecated: use Injections; this is the comma-separated spec list
-	// the -inject flag takes.
-	Inject string `json:"-"`
-	// Deprecated: use Model.Disabled.
-	DisablePredictions bool `json:"-"`
-	// Deprecated: use Model.RetrainEverySec.
-	RetrainEverySec float64 `json:"-"`
-	// Deprecated: use Model.Scope.
-	ModelScope string `json:"-"`
-	// Deprecated: use Model.CanaryFraction.
-	CanaryFraction float64 `json:"-"`
-	// Deprecated: use Model.BakeWindowSec.
-	BakeWindowSec float64 `json:"-"`
-	// Deprecated: use Model.PromoteMargin.
-	PromoteMargin float64 `json:"-"`
-	// Deprecated: use Model.HoldoutWindow.
-	HoldoutWindow int `json:"-"`
-	// Deprecated: use Model.MinTrainRows.
-	MinTrainRows int `json:"-"`
-	// Deprecated: use Model.Capture.
-	CaptureModels bool `json:"-"`
-	// Deprecated: use Capacity.Elastic.
-	ElasticPool bool `json:"-"`
-	// Deprecated: use Capacity.PlanEverySec.
-	PlanEverySec float64 `json:"-"`
-	// Deprecated: use Capacity.TargetQoS.
-	TargetQoS float64 `json:"-"`
-	// Deprecated: use Engine.Workers.
-	Workers int `json:"-"`
-	// Deprecated: use Engine.Seed.
-	Seed int64 `json:"-"`
 }
 
 // Defaults returns the fully-populated default configuration — four
@@ -225,113 +172,6 @@ func DefaultNotes() []DefaultNote {
 	}
 }
 
-// resolved maps the deprecated flat fields onto the grouped structs,
-// erroring when a flat field and its grouped counterpart are both set
-// and disagree. The returned options carry all configuration in the
-// grouped fields; the flat fields are cleared.
-func (o FleetOpts) resolved() (FleetOpts, error) {
-	var errs []error
-	mergeStr := func(dst *string, flat, name string) {
-		switch {
-		case flat == "":
-		case *dst == "":
-			*dst = flat
-		case *dst != flat:
-			errs = append(errs, fmt.Errorf("pond: deprecated FleetOpts.%s %q disagrees with the grouped field %q", name, flat, *dst))
-		}
-	}
-	mergeInt := func(dst *int, flat int, name string) {
-		switch {
-		case flat == 0:
-		case *dst == 0:
-			*dst = flat
-		case *dst != flat:
-			errs = append(errs, fmt.Errorf("pond: deprecated FleetOpts.%s %d disagrees with the grouped field %d", name, flat, *dst))
-		}
-	}
-	mergeInt64 := func(dst *int64, flat int64, name string) {
-		switch {
-		case flat == 0:
-		case *dst == 0:
-			*dst = flat
-		case *dst != flat:
-			errs = append(errs, fmt.Errorf("pond: deprecated FleetOpts.%s %d disagrees with the grouped field %d", name, flat, *dst))
-		}
-	}
-	mergeFloat := func(dst *float64, flat float64, name string) {
-		switch {
-		case flat == 0:
-		case *dst == 0:
-			*dst = flat
-		case *dst != flat:
-			errs = append(errs, fmt.Errorf("pond: deprecated FleetOpts.%s %g disagrees with the grouped field %g", name, flat, *dst))
-		}
-	}
-	mergeBool := func(dst *bool, flat bool) {
-		// A true on either side wins; two bools cannot disagree the way
-		// two non-zero numbers can.
-		*dst = *dst || flat
-	}
-
-	mergeStr(&o.Cluster.Topology, o.Topology, "Topology")
-	mergeInt(&o.Cluster.PodDegree, o.PodDegree, "PodDegree")
-	mergeInt(&o.Cluster.Hosts, o.Hosts, "Hosts")
-	mergeInt(&o.Cluster.EMCs, o.EMCs, "EMCs")
-	mergeInt(&o.Cluster.PoolGB, o.PoolGB, "PoolGB")
-	mergeInt(&o.Cluster.Cells, o.Cells, "Cells")
-	mergeFloat(&o.Cluster.DurationSec, o.DurationSec, "DurationSec")
-	mergeBool(&o.Model.Disabled, o.DisablePredictions)
-	mergeFloat(&o.Model.RetrainEverySec, o.RetrainEverySec, "RetrainEverySec")
-	mergeStr(&o.Model.Scope, o.ModelScope, "ModelScope")
-	mergeFloat(&o.Model.CanaryFraction, o.CanaryFraction, "CanaryFraction")
-	mergeFloat(&o.Model.BakeWindowSec, o.BakeWindowSec, "BakeWindowSec")
-	mergeFloat(&o.Model.PromoteMargin, o.PromoteMargin, "PromoteMargin")
-	mergeInt(&o.Model.HoldoutWindow, o.HoldoutWindow, "HoldoutWindow")
-	mergeInt(&o.Model.MinTrainRows, o.MinTrainRows, "MinTrainRows")
-	mergeBool(&o.Model.Capture, o.CaptureModels)
-	mergeBool(&o.Capacity.Elastic, o.ElasticPool)
-	mergeFloat(&o.Capacity.PlanEverySec, o.PlanEverySec, "PlanEverySec")
-	mergeFloat(&o.Capacity.TargetQoS, o.TargetQoS, "TargetQoS")
-	mergeInt(&o.Engine.Workers, o.Workers, "Workers")
-	mergeInt64(&o.Engine.Seed, o.Seed, "Seed")
-
-	if o.Arrival != "" {
-		fm, err := fleet.ParseArrival(o.Arrival)
-		if err != nil {
-			return o, err
-		}
-		g := o.Arrivals
-		if g == (ArrivalOpts{}) {
-			o.Arrivals = ArrivalOpts{Process: fm.Kind, RatePerSec: fm.RatePerSec, MeanLifetimeSec: fm.MeanLifetimeSec}
-		} else if filled := fillArrival(g.model()); filled != fm {
-			errs = append(errs, fmt.Errorf("pond: deprecated FleetOpts.Arrival %q disagrees with the grouped Arrivals (%s)", o.Arrival, filled))
-		}
-	}
-	if o.Inject != "" {
-		parsed, err := ParseInjections(o.Inject)
-		if err != nil {
-			return o, err
-		}
-		if len(o.Injections) == 0 {
-			o.Injections = parsed
-		} else if specsOf(parsed) != specsOf(o.Injections) {
-			errs = append(errs, fmt.Errorf("pond: deprecated FleetOpts.Inject %q disagrees with the grouped Injections (%s)", o.Inject, specsOf(o.Injections)))
-		}
-	}
-	if len(errs) > 0 {
-		return o, errs[0]
-	}
-	o.Topology, o.PodDegree, o.Hosts, o.EMCs, o.PoolGB, o.Cells, o.DurationSec = "", 0, 0, 0, 0, 0, 0
-	o.Arrival, o.Inject = "", ""
-	o.DisablePredictions, o.CaptureModels, o.ElasticPool = false, false, false
-	o.RetrainEverySec, o.CanaryFraction, o.BakeWindowSec, o.PromoteMargin = 0, 0, 0, 0
-	o.ModelScope = ""
-	o.HoldoutWindow, o.MinTrainRows, o.Workers = 0, 0, 0
-	o.PlanEverySec, o.TargetQoS = 0, 0
-	o.Seed = 0
-	return o, nil
-}
-
 // model converts the grouped arrival options to the internal form,
 // leaving zero fields zero for the shared normalization to fill.
 func (a ArrivalOpts) model() fleet.ArrivalModel {
@@ -342,14 +182,7 @@ func (a ArrivalOpts) model() fleet.ArrivalModel {
 // takes, e.g. "poisson:rate=0.05:life=600", with zero fields filled
 // from the defaults.
 func (a ArrivalOpts) Spec() string {
-	return fillArrival(a.model()).String()
-}
-
-// fillArrival applies the arrival defaults to zero fields so a
-// partially-specified grouped model compares equal to the same spec
-// parsed from a string (the parser fills defaults eagerly).
-func fillArrival(m fleet.ArrivalModel) fleet.ArrivalModel {
-	d := fleet.DefaultArrival()
+	m, d := a.model(), fleet.DefaultArrival()
 	if m.Kind == "" {
 		m.Kind = d.Kind
 	}
@@ -359,59 +192,50 @@ func fillArrival(m fleet.ArrivalModel) fleet.ArrivalModel {
 	if m.MeanLifetimeSec <= 0 {
 		m.MeanLifetimeSec = d.MeanLifetimeSec
 	}
-	return m
+	return m.String()
 }
 
-// fleetOptions resolves the flat-field shim and converts to the
-// internal options. Validation itself happens in the internal
-// normalization — the single path shared by every entry point.
-func (o FleetOpts) fleetOptions() (fleet.Options, error) {
-	r, err := o.resolved()
-	if err != nil {
-		return fleet.Options{}, err
-	}
-	inj := make([]fleet.Injection, len(r.Injections))
-	for i := range r.Injections {
-		inj[i] = r.Injections[i].in
+// fleetOptions converts to the internal options. Validation itself
+// happens in the internal normalization — the single path shared by
+// every entry point.
+func (o FleetOpts) fleetOptions() fleet.Options {
+	inj := make([]fleet.Injection, len(o.Injections))
+	for i := range o.Injections {
+		inj[i] = o.Injections[i].in
 	}
 	return fleet.Options{
-		Topology:        r.Cluster.Topology,
-		PodDegree:       r.Cluster.PodDegree,
-		Hosts:           r.Cluster.Hosts,
-		EMCs:            r.Cluster.EMCs,
-		PoolGB:          r.Cluster.PoolGB,
-		Cells:           r.Cluster.Cells,
-		DurationSec:     r.Cluster.DurationSec,
-		Arrival:         r.Arrivals.model(),
+		Topology:        o.Cluster.Topology,
+		PodDegree:       o.Cluster.PodDegree,
+		Hosts:           o.Cluster.Hosts,
+		EMCs:            o.Cluster.EMCs,
+		PoolGB:          o.Cluster.PoolGB,
+		Cells:           o.Cluster.Cells,
+		DurationSec:     o.Cluster.DurationSec,
+		Arrival:         o.Arrivals.model(),
 		Injections:      inj,
-		Predictions:     !r.Model.Disabled,
-		RetrainEverySec: r.Model.RetrainEverySec,
-		ModelScope:      r.Model.Scope,
-		CanaryFraction:  r.Model.CanaryFraction,
-		BakeWindowSec:   r.Model.BakeWindowSec,
-		PromoteMargin:   r.Model.PromoteMargin,
-		HoldoutWindow:   r.Model.HoldoutWindow,
-		MinTrainRows:    r.Model.MinTrainRows,
-		CaptureModels:   r.Model.Capture,
-		ElasticPool:     r.Capacity.Elastic,
-		PlanEverySec:    r.Capacity.PlanEverySec,
-		TargetQoS:       r.Capacity.TargetQoS,
-		Workers:         r.Engine.Workers,
-		Seed:            r.Engine.Seed,
-		MetricsEverySec: r.Engine.MetricsEverySec,
-	}, nil
+		Predictions:     !o.Model.Disabled,
+		RetrainEverySec: o.Model.RetrainEverySec,
+		ModelScope:      o.Model.Scope,
+		CanaryFraction:  o.Model.CanaryFraction,
+		BakeWindowSec:   o.Model.BakeWindowSec,
+		PromoteMargin:   o.Model.PromoteMargin,
+		HoldoutWindow:   o.Model.HoldoutWindow,
+		MinTrainRows:    o.Model.MinTrainRows,
+		CaptureModels:   o.Model.Capture,
+		ElasticPool:     o.Capacity.Elastic,
+		PlanEverySec:    o.Capacity.PlanEverySec,
+		TargetQoS:       o.Capacity.TargetQoS,
+		Workers:         o.Engine.Workers,
+		Seed:            o.Engine.Seed,
+		MetricsEverySec: o.Engine.MetricsEverySec,
+	}
 }
 
-// Validate resolves the deprecated-field shim and runs the full
-// normalization — the same checks RunFleet and StartFleet apply —
-// without running anything. CLI flag parsing and pondserve both
-// validate through here, so an error reads identically no matter which
-// entry point produced it.
+// Validate runs the full normalization — the same checks RunFleet and
+// StartFleet apply — without running anything. CLI flag parsing and
+// pondserve both validate through here, so an error reads identically
+// no matter which entry point produced it.
 func (o FleetOpts) Validate() error {
-	fo, err := o.fleetOptions()
-	if err != nil {
-		return err
-	}
-	_, err = fleet.NormalizeOptions(fo)
+	_, err := fleet.NormalizeOptions(o.fleetOptions())
 	return err
 }

@@ -3,6 +3,7 @@ package pond
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -17,34 +18,6 @@ func testFleetOpts() FleetOpts {
 	}
 }
 
-// TestGroupedFlatEquivalence runs the same configuration through the
-// grouped fields and through the deprecated flat fields: the shim must
-// make them indistinguishable, down to the event-log hash.
-func TestGroupedFlatEquivalence(t *testing.T) {
-	ctx := context.Background()
-	grouped, err := RunFleet(ctx, FleetOpts{
-		Cluster:    ClusterOpts{Topology: "sharded", Hosts: 4, EMCs: 4, PoolGB: 64, Cells: 2, DurationSec: 300},
-		Arrivals:   ArrivalOpts{Process: "poisson", RatePerSec: 0.1, MeanLifetimeSec: 150},
-		Model:      ModelOpts{Disabled: true},
-		Injections: mustParseInjections(t, "emc-fail@t=150:emc=1"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := RunFleet(ctx, FleetOpts{
-		Topology: "sharded", Hosts: 4, EMCs: 4, PoolGB: 64, Cells: 2, DurationSec: 300,
-		Arrival:            "poisson:rate=0.1:life=150",
-		Inject:             "emc-fail@t=150:emc=1",
-		DisablePredictions: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grouped.LogSHA256 != flat.LogSHA256 {
-		t.Fatalf("grouped and flat configs diverge: %s vs %s", grouped.LogSHA256, flat.LogSHA256)
-	}
-}
-
 func mustParseInjections(t *testing.T, s string) []Injection {
 	t.Helper()
 	ins, err := ParseInjections(s)
@@ -52,54 +25,6 @@ func mustParseInjections(t *testing.T, s string) []Injection {
 		t.Fatal(err)
 	}
 	return ins
-}
-
-// TestFlatGroupedConflict sets a flat field and its grouped counterpart
-// to disagreeing values: the shim must refuse rather than silently pick
-// one.
-func TestFlatGroupedConflict(t *testing.T) {
-	cases := []struct {
-		name string
-		o    FleetOpts
-		want string
-	}{
-		{"hosts", FleetOpts{Hosts: 4, Cluster: ClusterOpts{Hosts: 8}}, "Hosts"},
-		{"topology", FleetOpts{Topology: "flat", Cluster: ClusterOpts{Topology: "sharded"}}, "Topology"},
-		{"duration", FleetOpts{DurationSec: 100, Cluster: ClusterOpts{DurationSec: 200}}, "DurationSec"},
-		{"seed", FleetOpts{Seed: 1, Engine: EngineOpts{Seed: 2}}, "Seed"},
-		{"retrain", FleetOpts{RetrainEverySec: 50, Model: ModelOpts{RetrainEverySec: 60}}, "RetrainEverySec"},
-		{"arrival", FleetOpts{Arrival: "poisson:rate=0.2:life=100", Arrivals: ArrivalOpts{RatePerSec: 0.3}}, "Arrival"},
-		{"inject", FleetOpts{Inject: "emc-fail@t=10", Injections: mustParseInjections(t, "emc-fail@t=20")}, "Inject"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.o.resolved()
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("conflicting %s accepted: %v", tc.name, err)
-			}
-		})
-	}
-}
-
-// TestFlatGroupedAgreement allows both forms set to the same value —
-// callers migrating field by field must not be punished.
-func TestFlatGroupedAgreement(t *testing.T) {
-	o := FleetOpts{
-		Hosts: 4, Cluster: ClusterOpts{Hosts: 4, EMCs: 4},
-		Arrival:  "poisson:rate=0.1:life=150",
-		Arrivals: ArrivalOpts{Process: "poisson", RatePerSec: 0.1, MeanLifetimeSec: 150},
-		Inject:   "emc-fail@t=20", Injections: mustParseInjections(t, "emc-fail@t=20"),
-	}
-	r, err := o.resolved()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cluster.Hosts != 4 || r.Cluster.EMCs != 4 {
-		t.Fatalf("agreement merge lost values: %+v", r.Cluster)
-	}
-	if r.Hosts != 0 || r.Arrival != "" || r.Inject != "" {
-		t.Fatalf("flat fields not cleared after resolution: %+v", r)
-	}
 }
 
 // TestDefaultsValidate pins that Defaults returns a configuration the
@@ -140,9 +65,19 @@ func TestDefaultsValidate(t *testing.T) {
 func TestValidateRejects(t *testing.T) {
 	cases := []FleetOpts{
 		{Cluster: ClusterOpts{Topology: "bogus"}},
-		{Arrival: "bogus"},
+		{Arrivals: ArrivalOpts{Process: "bogus"}},
 		{Capacity: CapacityOpts{PlanEverySec: 100}}, // cadence without elastic
 		{Model: ModelOpts{Scope: "galaxy"}},
+		// Arrival values the generator cannot run: an expected stream
+		// past the ceiling, and non-finite rates, lifetimes, horizons.
+		{Arrivals: ArrivalOpts{RatePerSec: 1e300}},
+		{Arrivals: ArrivalOpts{RatePerSec: 100}, Cluster: ClusterOpts{DurationSec: 1e6}},
+		{Arrivals: ArrivalOpts{RatePerSec: math.NaN()}},
+		{Arrivals: ArrivalOpts{RatePerSec: math.Inf(1)}},
+		{Arrivals: ArrivalOpts{MeanLifetimeSec: math.NaN()}},
+		{Arrivals: ArrivalOpts{MeanLifetimeSec: math.Inf(1)}},
+		{Cluster: ClusterOpts{DurationSec: math.NaN()}},
+		{Cluster: ClusterOpts{DurationSec: math.Inf(1)}},
 	}
 	for i, o := range cases {
 		if err := o.Validate(); err == nil {

@@ -245,44 +245,43 @@ func TestConcurrentFleetUnderInjection(t *testing.T) {
 	}
 }
 
+// runAtOneAndEightWorkers runs base serially and on eight workers,
+// fails the test unless the event logs and hashes are byte-identical,
+// and returns the serial report.
+func runAtOneAndEightWorkers(t *testing.T, base FleetOpts) *FleetReport {
+	t.Helper()
+	var reps [2]*FleetReport
+	for i, workers := range []int{1, 8} {
+		o := base
+		o.Engine.Workers = workers
+		rep, err := RunFleet(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[i] = rep
+	}
+	if reps[0].EventLog != reps[1].EventLog || reps[0].LogSHA256 != reps[1].LogSHA256 {
+		t.Fatal("RunFleet event log differs between workers=1 and workers=8")
+	}
+	return reps[0]
+}
+
 // TestRunFleetDeterministicPublicAPI asserts the acceptance contract end
 // to end: same seed, different worker counts, byte-identical event log
 // and hash — through the public RunFleet facade with injections active.
 func TestRunFleetDeterministicPublicAPI(t *testing.T) {
 	base := FleetOpts{
-		Topology:           "sparse",
-		Hosts:              4,
-		EMCs:               4,
-		PoolGB:             64,
-		Cells:              3,
-		DurationSec:        400,
-		Arrival:            "poisson:rate=0.1:life=200",
-		Inject:             "emc-fail@t=200,host-drain@t=300:host=1,surge@t=50:dur=100:x=2",
-		DisablePredictions: true,
+		Cluster:    ClusterOpts{Topology: "sparse", Hosts: 4, EMCs: 4, PoolGB: 64, Cells: 3, DurationSec: 400},
+		Arrivals:   ArrivalOpts{Process: "poisson", RatePerSec: 0.1, MeanLifetimeSec: 200},
+		Injections: mustParseInjections(t, "emc-fail@t=200,host-drain@t=300:host=1,surge@t=50:dur=100:x=2"),
+		Model:      ModelOpts{Disabled: true},
 	}
-	a := base
-	a.Workers = 1
-	ra, err := RunFleet(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := base
-	b.Workers = 8
-	rb, err := RunFleet(context.Background(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.EventLog != rb.EventLog || ra.LogSHA256 != rb.LogSHA256 {
-		t.Fatal("RunFleet event log differs between workers=1 and workers=8")
-	}
+	ra := runAtOneAndEightWorkers(t, base)
 	if ra.LogSHA256 == "" || ra.Placed == 0 {
 		t.Fatalf("degenerate report: %+v", ra.Summary)
 	}
-	if _, err := RunFleet(context.Background(), FleetOpts{Inject: "bogus@t=1"}); err == nil {
-		t.Fatal("bad injection spec accepted")
-	}
-	if _, err := RunFleet(context.Background(), FleetOpts{Arrival: "bogus"}); err == nil {
-		t.Fatal("bad arrival spec accepted")
+	if _, err := RunFleet(context.Background(), FleetOpts{Arrivals: ArrivalOpts{Process: "bogus"}}); err == nil {
+		t.Fatal("bad arrival process accepted")
 	}
 }
 
@@ -292,32 +291,12 @@ func TestRunFleetDeterministicPublicAPI(t *testing.T) {
 // promotion history.
 func TestRunFleetRetrainPublicAPI(t *testing.T) {
 	base := FleetOpts{
-		Hosts:           4,
-		EMCs:            4,
-		PoolGB:          128,
-		Cells:           2,
-		DurationSec:     1200,
-		Arrival:         "poisson:rate=0.2:life=200",
-		Inject:          "drift@t=600:mag=0.6",
-		RetrainEverySec: 300,
-		MinTrainRows:    16,
-		CaptureModels:   true,
+		Cluster:    ClusterOpts{Hosts: 4, EMCs: 4, PoolGB: 128, Cells: 2, DurationSec: 1200},
+		Arrivals:   ArrivalOpts{Process: "poisson", RatePerSec: 0.2, MeanLifetimeSec: 200},
+		Injections: mustParseInjections(t, "drift@t=600:mag=0.6"),
+		Model:      ModelOpts{RetrainEverySec: 300, MinTrainRows: 16, Capture: true},
 	}
-	a := base
-	a.Workers = 1
-	ra, err := RunFleet(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := base
-	b.Workers = 8
-	rb, err := RunFleet(context.Background(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.EventLog != rb.EventLog || ra.LogSHA256 != rb.LogSHA256 {
-		t.Fatal("retrain-enabled event log differs between workers=1 and workers=8")
-	}
+	ra := runAtOneAndEightWorkers(t, base)
 	if ra.Retrains == 0 || len(ra.PromotionHistory) == 0 {
 		t.Fatalf("lifecycle missing from public report: retrains=%d history=%d",
 			ra.Retrains, len(ra.PromotionHistory))
@@ -325,14 +304,14 @@ func TestRunFleetRetrainPublicAPI(t *testing.T) {
 	if !strings.Contains(ra.EventLog, "mlops um retrain") {
 		t.Fatal("retrain events missing from the public event log")
 	}
-	if len(ra.ModelsJSON) != base.Cells {
+	if len(ra.ModelsJSON) != base.Cluster.Cells {
 		t.Fatalf("model dumps = %d, want one per cell", len(ra.ModelsJSON))
 	}
 	if ra.PredErrMean <= 0 {
 		t.Fatalf("prediction error not surfaced: %+v", ra.PredErrMean)
 	}
 	if _, err := RunFleet(context.Background(), FleetOpts{
-		RetrainEverySec: 100, DisablePredictions: true,
+		Model: ModelOpts{RetrainEverySec: 100, Disabled: true},
 	}); err == nil {
 		t.Fatal("retraining without predictions accepted")
 	}
@@ -344,36 +323,16 @@ func TestRunFleetRetrainPublicAPI(t *testing.T) {
 // history together with a manual resize injection.
 func TestRunFleetElasticPublicAPI(t *testing.T) {
 	base := FleetOpts{
-		Hosts:        4,
-		EMCs:         4,
-		PoolGB:       128,
-		Cells:        2,
-		DurationSec:  800,
-		Arrival:      "poisson:rate=0.2:life=200",
-		Inject:       "resize@t=150:emc=1:slices=-8",
-		ElasticPool:  true,
-		PlanEverySec: 200,
-		TargetQoS:    0.01,
+		Cluster:    ClusterOpts{Hosts: 4, EMCs: 4, PoolGB: 128, Cells: 2, DurationSec: 800},
+		Arrivals:   ArrivalOpts{Process: "poisson", RatePerSec: 0.2, MeanLifetimeSec: 200},
+		Injections: mustParseInjections(t, "resize@t=150:emc=1:slices=-8"),
+		Capacity:   CapacityOpts{Elastic: true, PlanEverySec: 200, TargetQoS: 0.01},
 	}
-	a := base
-	a.Workers = 1
-	ra, err := RunFleet(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := base
-	b.Workers = 8
-	rb, err := RunFleet(context.Background(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.EventLog != rb.EventLog || ra.LogSHA256 != rb.LogSHA256 {
-		t.Fatal("elastic event log differs between workers=1 and workers=8")
-	}
+	ra := runAtOneAndEightWorkers(t, base)
 	if len(ra.PlanHistory) == 0 {
 		t.Fatal("plan history missing from the public report")
 	}
-	if ra.DRAMSavedGB <= 0 || ra.FinalPoolGB >= base.PoolGB*base.Cells {
+	if ra.DRAMSavedGB <= 0 || ra.FinalPoolGB >= base.Cluster.PoolGB*base.Cluster.Cells {
 		t.Fatalf("elastic pool banked no savings: saved=%.2f final=%d", ra.DRAMSavedGB, ra.FinalPoolGB)
 	}
 	if !strings.Contains(ra.EventLog, "inject resize emc=1") {
@@ -383,7 +342,7 @@ func TestRunFleetElasticPublicAPI(t *testing.T) {
 		t.Fatalf("summary missing the elastic line:\n%s", ra.Summary)
 	}
 	// Elastic knobs without the elastic pool are rejected.
-	if _, err := RunFleet(context.Background(), FleetOpts{PlanEverySec: 100}); err == nil {
+	if _, err := RunFleet(context.Background(), FleetOpts{Capacity: CapacityOpts{PlanEverySec: 100}}); err == nil {
 		t.Fatal("plan cadence without ElasticPool accepted")
 	}
 }

@@ -13,7 +13,7 @@ import (
 const FleetSnapshotVersion = 1
 
 // FleetSnapshot is the serialized state of a paused FleetRun: the
-// resolved public configuration (with every live injection appended)
+// public configuration (with every live injection appended)
 // plus the opaque simulator state — RNG streams, event heaps, running
 // VMs, telemetry, pool occupancy, model servers, rollout state, and the
 // event-log hash midstates. Restoring one resumes the run exactly where
