@@ -150,8 +150,9 @@ func (p *Pipeline) Store() *telemetry.Store { return p.store }
 
 // UseServer routes all model inference through the inference server: the
 // models installed there (not the ones passed to NewPipeline) serve every
-// decision, repeated requests hit its per-generation cache, and
-// Server.Swap hot-swaps retrained models without rebuilding the pipeline.
+// decision, a named (customer, workload) pair keeps the insensitivity
+// score of its first request in a model generation, and Server.Swap
+// hot-swaps retrained models without rebuilding the pipeline.
 func (p *Pipeline) UseServer(s *predict.Server) { p.srv = s }
 
 // Server returns the attached inference server (nil when inference runs
@@ -207,11 +208,16 @@ func (p *Pipeline) decide(vm cluster.VMRequest, counters *pmu.Vector, umFeatures
 }
 
 // scoreInsens serves the latency-insensitivity score — through the
-// inference server when one is attached (per-(customer, workload) cache,
-// hot-swapped models), else from the directly held model.
+// inference server when one is attached (hot-swapped models, and for a
+// named VM the per-(customer, workload) cache), else from the directly
+// held model.
 func (p *Pipeline) scoreInsens(vm cluster.VMRequest, v *pmu.Vector) (float64, bool) {
 	if p.srv != nil {
-		score, err := p.srv.ScoreInsensitivity(insensCacheKey(vm, v), *v)
+		if vm.WorkloadName == "" {
+			score, err := p.srv.ScoreInsensitivity(*v)
+			return score, err == nil
+		}
+		score, err := p.srv.ScoreNamed(pairKey(vm), *v)
 		return score, err == nil
 	}
 	if p.insens == nil {
@@ -220,30 +226,23 @@ func (p *Pipeline) scoreInsens(vm cluster.VMRequest, v *pmu.Vector) (float64, bo
 	return p.insens.Score(*v), true
 }
 
-// insensCacheKey identifies the (customer, workload) pair, as the
+// pairKey identifies a named VM's (customer, workload) pair, as the
 // serving contract requires. Opaque VMs carry no workload identity, so
-// their key mixes the sampled counters and every VM scores fresh rather
-// than inheriting another workload's cached score. Keys are folded
-// through the streaming digest so the miss path allocates nothing.
-func insensCacheKey(vm cluster.VMRequest, v *pmu.Vector) int64 {
-	d := stats.NewDigest().Word(uint64(vm.Customer)).Word(hashString(vm.WorkloadName))
-	if vm.WorkloadName == "" {
-		for _, c := range v {
-			d = d.Word(math.Float64bits(c))
-		}
-	}
-	return d.Sum()
+// they get no key and every one scores its own counters rather than
+// inheriting another workload's cached score. The key is folded through
+// the streaming digest so it allocates nothing.
+func pairKey(vm cluster.VMRequest) int64 {
+	return stats.NewDigest().Word(uint64(vm.Customer)).Word(hashString(vm.WorkloadName)).Sum()
 }
 
-// predictUM serves the untouched-memory fraction. The server cache key
-// hashes the full feature vector: identical requests hit, any change in
-// the customer's history recomputes.
-func (p *Pipeline) predictUM(vm cluster.VMRequest, features []float64) (float64, bool) {
+// predictUM serves the untouched-memory fraction, scored from the
+// customer's current history features on every request.
+func (p *Pipeline) predictUM(features []float64) (float64, bool) {
 	if features == nil {
 		return 0, false
 	}
 	if p.srv != nil {
-		frac, err := p.srv.PredictUntouched(umCacheKey(vm, features), features)
+		frac, err := p.srv.PredictUntouched(features)
 		return frac, err == nil
 	}
 	if p.um == nil {
@@ -254,7 +253,7 @@ func (p *Pipeline) predictUM(vm cluster.VMRequest, features []float64) (float64,
 
 func (p *Pipeline) decideUM(vm cluster.VMRequest, umFeatures []float64) Decision {
 	mem := vm.Type.MemoryGB
-	frac, ok := p.predictUM(vm, umFeatures)
+	frac, ok := p.predictUM(umFeatures)
 	if !ok {
 		return Decision{Kind: AllLocal, LocalGB: mem}
 	}
@@ -269,19 +268,9 @@ func (p *Pipeline) decideUM(vm cluster.VMRequest, umFeatures []float64) Decision
 	return Decision{Kind: ZNUMA, LocalGB: mem - poolGB, PoolGB: poolGB}
 }
 
-// umCacheKey folds the customer and feature vector into a serving-cache
-// key, allocation-free via the streaming digest.
-func umCacheKey(vm cluster.VMRequest, features []float64) int64 {
-	d := stats.NewDigest().Word(uint64(vm.Customer))
-	for _, f := range features {
-		d = d.Word(math.Float64bits(f))
-	}
-	return d.Sum()
-}
-
-// hashString digests a string with FNV-1a (empty hashes to a distinct
-// "unknown" value). The fold is inlined — identical to hash/fnv's
-// 64-bit variant — so key construction never allocates.
+// hashString digests a string with FNV-1a. The fold is inlined —
+// identical to hash/fnv's 64-bit variant — so key construction never
+// allocates.
 func hashString(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

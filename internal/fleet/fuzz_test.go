@@ -224,7 +224,8 @@ func FuzzParseTopologies(f *testing.F) {
 // retrains (so the state carries trained models and training rows), and
 // one without predictions. Restoring either of the first two trains the
 // bootstrap forest; the third skips it, so mutations of the
-// model-independent state run many times faster.
+// model-independent state run many times faster. The first also seeds a
+// copy whose server section has the older, memo-carrying shape.
 func fuzzSnapshotOptions() []Options {
 	o := DefaultOptions()
 	o.Cells = 1
@@ -251,7 +252,8 @@ func fuzzSnapshotOptions() []Options {
 func FuzzRestoreSnapshot(f *testing.F) {
 	ctx := context.Background()
 	pinned := map[string]bool{}
-	for _, o := range fuzzSnapshotOptions() {
+	var parentShaped []byte
+	for i, o := range fuzzSnapshotOptions() {
 		r, err := NewRunner(ctx, o)
 		if err != nil {
 			f.Fatal(err)
@@ -273,7 +275,13 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		}
 		pinned[string(opts)] = true
 		f.Add(data)
+		if i == 0 {
+			parentShaped = withParentServerState(f, data)
+		}
 	}
+	// The first snapshot again, with the server section an older build
+	// wrote, so the fuzzer also explores the fields dropped on decode.
+	f.Add(parentShaped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Snapshot
 		if err := json.Unmarshal(data, &s); err != nil {

@@ -37,9 +37,7 @@ const SnapshotVersion = 1
 // occupancy, accumulated telemetry and models, accounting integrals,
 // log digests); anything derivable from the normalized Options is
 // rebuilt (topology, arrival streams from their fork seeds, the trained
-// bootstrap insensitivity model), and pure caches (serving-score memos,
-// scratch freelists) restore empty — a miss recomputes the identical
-// value.
+// bootstrap insensitivity model), and scratch freelists restore empty.
 type Snapshot struct {
 	Version     int     `json:"version"`
 	Options     Options `json:"options"`

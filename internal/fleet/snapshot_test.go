@@ -1,10 +1,15 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"testing"
+
+	"pond/internal/predict"
+	"pond/internal/stats"
 )
 
 // snapshotCases are the configurations the round-trip tests cover: the
@@ -96,6 +101,82 @@ func checkNoTrainingRows(t *testing.T, s *Snapshot) {
 	}
 }
 
+// parentServerState is the server section older builds wrote: request
+// counters, an untouched-memory memo cache, and opaque-VM memo entries
+// mixed into sens_cache.
+type parentServerState struct {
+	Generation       int                       `json:"generation"`
+	Requests         int64                     `json:"requests"`
+	CacheHits        int64                     `json:"cache_hits"`
+	ServedCostMicros float64                   `json:"served_cost_micros"`
+	SensCache        []predict.CacheEntryState `json:"sens_cache,omitempty"`
+	UMCache          []predict.CacheEntryState `json:"um_cache"`
+}
+
+// withParentServerState rewrites every cell's server section of a
+// snapshot's JSON to the shape an older build wrote. The added opaque
+// entries carry a score no request of the run computes, under keys no
+// named (customer, workload) pair of the run uses.
+func withParentServerState(tb testing.TB, wire []byte) []byte {
+	tb.Helper()
+	var snap map[string]json.RawMessage
+	var cells []map[string]json.RawMessage
+	if err := json.Unmarshal(wire, &snap); err != nil {
+		tb.Fatal(err)
+	}
+	if err := json.Unmarshal(snap["cells"], &cells); err != nil {
+		tb.Fatal(err)
+	}
+	for i, c := range cells {
+		var st predict.ServerState
+		if c["server"] == nil {
+			tb.Fatalf("cell %d: no server section", i)
+		}
+		if err := json.Unmarshal(c["server"], &st); err != nil {
+			tb.Fatal(err)
+		}
+		named := map[int64]bool{}
+		for _, e := range st.SensCache {
+			named[e.Key] = true
+		}
+		old := parentServerState{Generation: st.Generation, Requests: 1000, CacheHits: 400, ServedCostMicros: 72800, SensCache: st.SensCache}
+		for k := uint64(0); k < 8; k++ {
+			opaque := stats.NewDigest().Word(0x0dead).Word(uint64(i)).Word(k).Sum()
+			um := stats.NewDigest().Word(0x1dead).Word(uint64(i)).Word(k).Sum()
+			if named[opaque] {
+				tb.Fatalf("cell %d: opaque key %d collides with a named pair", i, opaque)
+			}
+			old.SensCache = append(old.SensCache, predict.CacheEntryState{Key: opaque, Generation: st.Generation, Value: 0.999})
+			old.UMCache = append(old.UMCache, predict.CacheEntryState{Key: um, Generation: st.Generation, Value: 0.999})
+		}
+		sort.Slice(old.SensCache, func(a, b int) bool { return old.SensCache[a].Key < old.SensCache[b].Key })
+		c["server"] = mustMarshal(tb, old)
+	}
+	snap["cells"] = mustMarshal(tb, cells)
+	return mustMarshal(tb, snap)
+}
+
+func mustMarshal(tb testing.TB, v any) []byte {
+	tb.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// checkNoParentServerFields fails if a captured snapshot carries any
+// server field only older builds wrote.
+func checkNoParentServerFields(t *testing.T, s *Snapshot) {
+	t.Helper()
+	wire := mustMarshal(t, s)
+	for _, field := range []string{"um_cache", "requests", "cache_hits", "served_cost_micros"} {
+		if bytes.Contains(wire, []byte(`"`+field+`"`)) {
+			t.Fatalf("re-captured snapshot carries %q", field)
+		}
+	}
+}
+
 // TestSnapshotRestoreMatchesUninterrupted is the tentpole's correctness
 // bar: snapshot at a mid-run safe point, restore in a fresh Runner
 // (through the JSON wire form, as a fresh process would), and the
@@ -147,8 +228,12 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Every case serves predictions: restore the server
+				// section an older build wrote, whose memo caches and
+				// counters the restore must drop without changing a
+				// byte of the remaining run.
 				var loaded Snapshot
-				if err := json.Unmarshal(wire, &loaded); err != nil {
+				if err := json.Unmarshal(withParentServerState(t, wire), &loaded); err != nil {
 					t.Fatal(err)
 				}
 				if monitorOnly(o) {
@@ -165,11 +250,12 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 				if restored.Now() != r.Now() {
 					t.Fatalf("restored clock %g, want %g", restored.Now(), r.Now())
 				}
+				again, err := restored.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkNoParentServerFields(t, again)
 				if monitorOnly(o) {
-					again, err := restored.Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
 					checkNoTrainingRows(t, again)
 				}
 				rep, err := restored.Finish(ctx)

@@ -404,23 +404,23 @@ func TestPinServesPerCellGenerations(t *testing.T) {
 	if canary.Generation() == control.Generation() {
 		t.Fatal("cells must pin distinct generations")
 	}
-	got, err := canary.PredictUntouched(1, []float64{0})
+	got, err := canary.PredictUntouched([]float64{0})
 	if err != nil || got != 0.9 {
 		t.Fatalf("canary served %g (%v)", got, err)
 	}
-	got, err = control.PredictUntouched(1, []float64{0})
+	got, err = control.PredictUntouched([]float64{0})
 	if err != nil || got != 0.1 {
 		t.Fatalf("control served %g (%v)", got, err)
 	}
-	// Re-pinning the same generation keeps the cache warm.
+	// Re-pinning the same generation is a no-op on the models.
 	control.Pin(0, nil, fixedUM(0.5))
-	got, _ = control.PredictUntouched(1, []float64{0})
+	got, _ = control.PredictUntouched([]float64{0})
 	if got != 0.1 {
 		t.Fatalf("same-generation re-pin must be a no-op, served %g", got)
 	}
 	// A new generation installs and invalidates.
 	control.Pin(2, nil, fixedUM(0.5))
-	got, _ = control.PredictUntouched(1, []float64{0})
+	got, _ = control.PredictUntouched([]float64{0})
 	if got != 0.5 {
 		t.Fatalf("new-generation pin must swap models, served %g", got)
 	}

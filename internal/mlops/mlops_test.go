@@ -88,7 +88,7 @@ func TestChallengerPromotionAndDemotion(t *testing.T) {
 	}
 
 	// The serving layer must now predict ~0.6 (hot-swapped model).
-	frac, err := srv.PredictUntouched(42, feats(0.6))
+	frac, err := srv.PredictUntouched(feats(0.6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +207,11 @@ func TestConcurrentScoringDuringSwap(t *testing.T) {
 				id := g*1000 + i
 				vm := testVM(id, 0.5)
 				m.ObserveDecision(vm, nil, feats(0.5), coreDecision())
-				if _, err := srv.PredictUntouched(int64(id), feats(0.5)); err != nil {
+				if _, err := srv.PredictUntouched(feats(0.5)); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := srv.ScoreInsensitivity(int64(id), pmu.Vector{}); err != nil {
+				if _, err := srv.ScoreNamed(int64(id), pmu.Vector{}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -386,28 +386,39 @@ func TestLogisticBaselineLosesToForest(t *testing.T) {
 	}
 }
 
+// TestServerCachesWithinGeneration pins the serving contract: a named
+// (customer, workload) pair is served the score of its first request in
+// a generation, whatever counters later requests carry, and a Swap or a
+// Pin to another generation re-scores it.
 func TestServerCachesWithinGeneration(t *testing.T) {
 	srv := NewServer(CounterThreshold{Counter: pmu.DRAMBound}, FixedUntouched{Frac: 0.3})
-	var v pmu.Vector
-	v[pmu.DRAMBound] = 0.4
-
-	s1, err := srv.ScoreInsensitivity(7, v)
-	if err != nil {
-		t.Fatal(err)
+	score := func(dram float64) float64 {
+		t.Helper()
+		var v pmu.Vector
+		v[pmu.DRAMBound] = dram
+		s, err := srv.ScoreNamed(7, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	s2, err := srv.ScoreInsensitivity(7, v)
-	if err != nil {
-		t.Fatal(err)
+	if s := score(0.4); math.Abs(s-0.6) > 1e-9 {
+		t.Fatalf("first score %v, want 0.6", s)
 	}
-	if s1 != s2 {
-		t.Fatal("cache returned a different score")
+	if s := score(0.9); math.Abs(s-0.6) > 1e-9 {
+		t.Fatalf("second request with other counters scored %v, want the first score 0.6", s)
 	}
-	requests, hits, mean := srv.Stats()
-	if requests != 2 || hits != 1 {
-		t.Fatalf("requests=%d hits=%d", requests, hits)
+	srv.Swap(CounterThreshold{Counter: pmu.DRAMBound}, FixedUntouched{Frac: 0.3})
+	if s := score(0.9); math.Abs(s-0.1) > 1e-9 {
+		t.Fatalf("after Swap scored %v, want a fresh 0.1", s)
 	}
-	if mean <= 0 {
-		t.Fatal("no serving cost recorded")
+	srv.Pin(srv.Generation(), CounterThreshold{Counter: pmu.MemoryBound}, FixedUntouched{Frac: 0.3})
+	if s := score(0.2); math.Abs(s-0.1) > 1e-9 {
+		t.Fatalf("same-generation Pin re-scored: %v, want the cached 0.1", s)
+	}
+	srv.Pin(srv.Generation()+5, CounterThreshold{Counter: pmu.DRAMBound}, FixedUntouched{Frac: 0.3})
+	if s := score(0.2); math.Abs(s-0.8) > 1e-9 {
+		t.Fatalf("after Pin to a new generation scored %v, want a fresh 0.8", s)
 	}
 }
 
@@ -415,20 +426,20 @@ func TestServerSwapInvalidatesCache(t *testing.T) {
 	srv := NewServer(CounterThreshold{Counter: pmu.DRAMBound}, FixedUntouched{Frac: 0.3})
 	var v pmu.Vector
 	v[pmu.DRAMBound] = 0.4
-	if _, err := srv.ScoreInsensitivity(7, v); err != nil {
+	if _, err := srv.ScoreNamed(7, v); err != nil {
 		t.Fatal(err)
 	}
 	// Swap to a model that scores differently.
 	srv.Swap(CounterThreshold{Counter: pmu.MemoryBound}, FixedUntouched{Frac: 0.1})
 	v[pmu.MemoryBound] = 0.9
-	s, err := srv.ScoreInsensitivity(7, v)
+	s, err := srv.ScoreNamed(7, v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(s-0.1) > 1e-9 {
 		t.Fatalf("stale cache served after swap: %v", s)
 	}
-	um, err := srv.PredictUntouched(7, nil)
+	um, err := srv.PredictUntouched(nil)
 	if err != nil || um != 0.1 {
 		t.Fatalf("um = %v, %v", um, err)
 	}
@@ -436,28 +447,112 @@ func TestServerSwapInvalidatesCache(t *testing.T) {
 
 func TestServerWithoutModels(t *testing.T) {
 	srv := NewServer(nil, nil)
-	if _, err := srv.ScoreInsensitivity(1, pmu.Vector{}); err == nil {
+	if _, err := srv.ScoreInsensitivity(pmu.Vector{}); err == nil {
 		t.Fatal("nil insensitivity model served")
 	}
-	if _, err := srv.PredictUntouched(1, nil); err == nil {
+	if _, err := srv.ScoreNamed(1, pmu.Vector{}); err == nil {
+		t.Fatal("nil insensitivity model served a named pair")
+	}
+	if _, err := srv.PredictUntouched(nil); err == nil {
 		t.Fatal("nil um model served")
 	}
 }
 
-func TestServerUMCache(t *testing.T) {
-	srv := NewServer(nil, FixedUntouched{Frac: 0.25})
-	a, _ := srv.PredictUntouched(3, nil)
-	b, _ := srv.PredictUntouched(3, nil)
-	if a != b || a != 0.25 {
-		t.Fatalf("um caching wrong: %v %v", a, b)
+// firstFeatureUM predicts the first feature as the untouched fraction, so
+// a test can tell a fresh prediction from a remembered one.
+type firstFeatureUM struct{}
+
+func (firstFeatureUM) PredictUntouchedFrac(f []float64) float64 { return f[0] }
+func (firstFeatureUM) Name() string                             { return "first-feature" }
+
+// TestServerScoresUncachedRequestsFresh: untouched-memory and opaque-VM
+// insensitivity requests score their own input every time and leave no
+// entry in the server state.
+func TestServerScoresUncachedRequestsFresh(t *testing.T) {
+	srv := NewServer(CounterThreshold{Counter: pmu.DRAMBound}, firstFeatureUM{})
+	for _, x := range []float64{0.25, 0.5, 0.25, 0.75} {
+		got, err := srv.PredictUntouched([]float64{x, 1})
+		if err != nil || got != x {
+			t.Fatalf("PredictUntouched(%v) = %v, %v", x, got, err)
+		}
+		var v pmu.Vector
+		v[pmu.DRAMBound] = x
+		s, err := srv.ScoreInsensitivity(v)
+		if err != nil || math.Abs(s-(1-x)) > 1e-9 {
+			t.Fatalf("ScoreInsensitivity(%v) = %v, %v; want %v", x, s, err, 1-x)
+		}
 	}
-	requests, hits, _ := srv.Stats()
-	if requests != 2 || hits != 1 {
-		t.Fatalf("requests=%d hits=%d", requests, hits)
+	if st := srv.State(); len(st.SensCache) != 0 {
+		t.Fatalf("uncached requests left %d cache entries", len(st.SensCache))
 	}
 }
 
-// TestServerConcurrentScoringDuringSwap hammers both inference paths
+// fillNamed inserts the named pairs [from, to) into srv's cache, each
+// scored 0.5.
+func fillNamed(t *testing.T, srv *Server, from, to int) {
+	t.Helper()
+	var v pmu.Vector
+	for k := from; k < to; k++ {
+		v[pmu.DRAMBound] = 0.5
+		if _, err := srv.ScoreNamed(int64(k), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkWipesOnNextInsert asserts srv's cache holds maxCacheEntries
+// entries and that the next named insert wipes it: afterwards only the
+// new pair is cached and pair 0 re-scores from its new counters.
+func checkWipesOnNextInsert(t *testing.T, srv *Server) {
+	t.Helper()
+	if n := len(srv.State().SensCache); n != maxCacheEntries {
+		t.Fatalf("cache holds %d entries, want %d", n, maxCacheEntries)
+	}
+	var v pmu.Vector
+	v[pmu.DRAMBound] = 0.5
+	if _, err := srv.ScoreNamed(maxCacheEntries, v); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.State(); len(st.SensCache) != 1 || st.SensCache[0].Key != maxCacheEntries {
+		t.Fatalf("insert %d did not wipe the cache: %d entries", maxCacheEntries+1, len(st.SensCache))
+	}
+	v[pmu.DRAMBound] = 0.9
+	if s, _ := srv.ScoreNamed(0, v); math.Abs(s-0.1) > 1e-9 {
+		t.Fatalf("pair 0 served %v after the wipe, want a fresh 0.1", s)
+	}
+}
+
+// TestServerWipesNamedCacheWhenFull: the named cache is wiped on the
+// insert that finds it holding maxCacheEntries pairs, and opaque requests
+// in the same generation do not count toward that bound.
+func TestServerWipesNamedCacheWhenFull(t *testing.T) {
+	srv := NewServer(CounterThreshold{Counter: pmu.DRAMBound}, nil)
+	fillNamed(t, srv, 0, maxCacheEntries)
+	for i := 0; i < 100; i++ {
+		if _, err := srv.ScoreInsensitivity(pmu.Vector{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkWipesOnNextInsert(t, srv)
+}
+
+// TestServerWipeSurvivesRestore: state saved one entry short of the bound
+// and restored with SetState on a fresh server wipes on the same insert
+// as the uninterrupted server.
+func TestServerWipeSurvivesRestore(t *testing.T) {
+	srv := NewServer(CounterThreshold{Counter: pmu.DRAMBound}, nil)
+	fillNamed(t, srv, 0, maxCacheEntries-1)
+	st := srv.State()
+	restored := NewServer(CounterThreshold{Counter: pmu.DRAMBound}, nil)
+	restored.Pin(st.Generation, CounterThreshold{Counter: pmu.DRAMBound}, nil)
+	restored.SetState(st)
+	for _, s := range []*Server{srv, restored} {
+		fillNamed(t, s, maxCacheEntries-1, maxCacheEntries)
+		checkWipesOnNextInsert(t, s)
+	}
+}
+
+// TestServerConcurrentScoringDuringSwap hammers every inference path
 // while another goroutine hot-swaps models, as the mlops lifecycle does
 // mid-run. Run under -race this is the serving-layer swap stress test.
 func TestServerConcurrentScoringDuringSwap(t *testing.T) {
@@ -472,11 +567,15 @@ func TestServerConcurrentScoringDuringSwap(t *testing.T) {
 			v[pmu.DRAMBound] = 0.4
 			for i := 0; i < 500; i++ {
 				key := int64(g*1000 + i%7)
-				if _, err := srv.ScoreInsensitivity(key, v); err != nil {
+				if _, err := srv.ScoreNamed(key, v); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := srv.PredictUntouched(key, nil); err != nil {
+				if _, err := srv.ScoreInsensitivity(v); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := srv.PredictUntouched(nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -487,22 +586,18 @@ func TestServerConcurrentScoringDuringSwap(t *testing.T) {
 	go func() {
 		defer close(swapperDone)
 		for i := 0; ; i++ {
+			srv.Swap(CounterThreshold{Counter: pmu.MemoryBound}, FixedUntouched{Frac: float64(i%10) / 10})
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			srv.Swap(CounterThreshold{Counter: pmu.MemoryBound}, FixedUntouched{Frac: float64(i%10) / 10})
 		}
 	}()
 	wg.Wait()
 	close(stop)
 	<-swapperDone
-	requests, hits, _ := srv.Stats()
-	if requests == 0 {
-		t.Fatal("no requests served")
-	}
-	if hits >= requests {
-		t.Fatalf("cache hits %d >= requests %d", hits, requests)
+	if srv.Generation() == 0 {
+		t.Fatal("no swap landed")
 	}
 }

@@ -1,7 +1,7 @@
 package predict
 
 import (
-	"fmt"
+	"errors"
 	"sync"
 
 	"pond/internal/pmu"
@@ -10,40 +10,26 @@ import (
 // Inference serving. The paper's prototype "adds the prediction (the size
 // of zNUMA) on the VM request path using a custom inference serving
 // system" (§5) — predictions must be fast enough not to delay VM starts.
-// Server wraps the two models behind a request-counting, cache-backed
-// interface: repeated requests from the same customer within a model
-// generation hit a cache, and the serving layer tracks how much simulated
-// latency it added to the request path.
+// Server wraps the two models behind one lock so retrained models can be
+// hot-swapped mid-run, and holds the one cache that changes results: the
+// first insensitivity score served to a named (customer, workload) pair
+// in a model generation. Every other request scores its own input.
 
-// Serving-cost constants (simulated; the real system reports similar
-// magnitudes for tree-ensemble inference).
-const (
-	// ForestInferenceMicros is one RandomForest evaluation.
-	ForestInferenceMicros = 120.0
-	// GBMInferenceMicros is one GBM evaluation.
-	GBMInferenceMicros = 80.0
-	// CacheHitMicros is a cache lookup.
-	CacheHitMicros = 2.0
-)
-
-// Server serves both models with per-customer caching.
+// Server serves both models and the per-generation named-pair cache.
 type Server struct {
 	mu sync.Mutex
 
 	insens Insensitivity
 	um     Untouched
 
-	// generation invalidates caches when models are swapped (nightly
+	// generation invalidates the cache when models are swapped (nightly
 	// retrain, §4.4).
 	generation int
 
 	sensCache map[int64]cachedScore
-	umCache   map[int64]cachedScore
-
-	requests   int64
-	cacheHits  int64
-	servedCost float64 // accumulated microseconds
 }
+
+var errNoInsens = errors.New("predict: no insensitivity model installed")
 
 type cachedScore struct {
 	generation int
@@ -56,18 +42,16 @@ func NewServer(insens Insensitivity, um Untouched) *Server {
 		insens:    insens,
 		um:        um,
 		sensCache: make(map[int64]cachedScore),
-		umCache:   make(map[int64]cachedScore),
 	}
 }
 
-// maxCacheEntries bounds each prediction cache. Serving keys can be
-// per-decision unique (opaque VMs hash their sampled counters, the
-// untouched-memory key hashes the evolving history features), so without
-// a bound a long soak run grows the maps with never-hit entries.
+// maxCacheEntries bounds the named-pair cache: it is wiped outright when
+// an insert finds it this full, so a long soak over many customers does
+// not grow it without bound.
 const maxCacheEntries = 1 << 16
 
-// Swap installs retrained models and invalidates all cached predictions.
-// The caches are dropped outright: every surviving entry would be from a
+// Swap installs retrained models and invalidates all cached scores.
+// The cache is dropped outright: every surviving entry would be from a
 // stale generation, and rebuilding frees their memory.
 func (s *Server) Swap(insens Insensitivity, um Untouched) {
 	s.mu.Lock()
@@ -76,17 +60,16 @@ func (s *Server) Swap(insens Insensitivity, um Untouched) {
 	s.um = um
 	s.generation++
 	s.sensCache = make(map[int64]cachedScore)
-	s.umCache = make(map[int64]cachedScore)
 }
 
 // Pin installs the models of one distributed release under an explicit,
 // caller-owned generation number — the fleet pipeline's staged rollout
 // pins each cell's server to the model version its deployment ring
 // serves, so canary and control cells run different versions
-// concurrently and their caches key on the release, not on a local swap
-// counter. Re-pinning the current generation is a no-op that keeps the
-// serving cache warm; any other generation installs the models and drops
-// every cached prediction.
+// concurrently and each cell's cache belongs to its release, not to a
+// local swap counter. Re-pinning the current generation is a no-op on
+// the models and the cache; any other generation installs the models and
+// drops every cached score.
 func (s *Server) Pin(generation int, insens Insensitivity, um Untouched) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -97,7 +80,6 @@ func (s *Server) Pin(generation int, insens Insensitivity, um Untouched) {
 	s.um = um
 	s.generation = generation
 	s.sensCache = make(map[int64]cachedScore)
-	s.umCache = make(map[int64]cachedScore)
 }
 
 // Generation returns the serving generation: the release version pinned
@@ -108,66 +90,51 @@ func (s *Server) Generation() int {
 	return s.generation
 }
 
-// ScoreInsensitivity serves a latency-insensitivity score for a customer.
-// cacheKey should identify the (customer, workload) pair.
-func (s *Server) ScoreInsensitivity(cacheKey int64, v pmu.Vector) (float64, error) {
+// ScoreInsensitivity scores v with the installed insensitivity model.
+// Opaque VMs, which carry no workload identity, are served here.
+func (s *Server) ScoreInsensitivity(v pmu.Vector) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.insens == nil {
-		return 0, fmt.Errorf("predict: no insensitivity model installed")
+		return 0, errNoInsens
 	}
-	s.requests++
-	if c, ok := s.sensCache[cacheKey]; ok && c.generation == s.generation {
-		s.cacheHits++
-		s.servedCost += CacheHitMicros
+	return s.insens.Score(v), nil
+}
+
+// ScoreNamed serves the insensitivity score of a named (customer,
+// workload) pair: the score computed at the pair's first request in the
+// current generation, whatever counters later requests carry.
+func (s *Server) ScoreNamed(pair int64, v pmu.Vector) (float64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.insens == nil {
+		return 0, errNoInsens
+	}
+	if c, ok := s.sensCache[pair]; ok && c.generation == s.generation {
 		return c.value, nil
 	}
 	score := s.insens.Score(v)
 	if len(s.sensCache) >= maxCacheEntries {
 		s.sensCache = make(map[int64]cachedScore)
 	}
-	s.sensCache[cacheKey] = cachedScore{generation: s.generation, value: score}
-	s.servedCost += ForestInferenceMicros
+	s.sensCache[pair] = cachedScore{generation: s.generation, value: score}
 	return score, nil
 }
 
 // PredictUntouched serves an untouched-memory fraction.
-func (s *Server) PredictUntouched(cacheKey int64, features []float64) (float64, error) {
+func (s *Server) PredictUntouched(features []float64) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.um == nil {
-		return 0, fmt.Errorf("predict: no untouched-memory model installed")
+		return 0, errors.New("predict: no untouched-memory model installed")
 	}
-	s.requests++
-	if c, ok := s.umCache[cacheKey]; ok && c.generation == s.generation {
-		s.cacheHits++
-		s.servedCost += CacheHitMicros
-		return c.value, nil
-	}
-	frac := s.um.PredictUntouchedFrac(features)
-	if len(s.umCache) >= maxCacheEntries {
-		s.umCache = make(map[int64]cachedScore)
-	}
-	s.umCache[cacheKey] = cachedScore{generation: s.generation, value: frac}
-	s.servedCost += GBMInferenceMicros
-	return frac, nil
+	return s.um.PredictUntouchedFrac(features), nil
 }
 
 // Installed reports which models the server currently serves, without
-// touching the request counters or caches.
+// touching the cache.
 func (s *Server) Installed() (insens, um bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.insens != nil, s.um != nil
-}
-
-// Stats reports request counts, cache hit rate, and the mean simulated
-// serving latency per request in microseconds.
-func (s *Server) Stats() (requests, hits int64, meanMicros float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.requests > 0 {
-		meanMicros = s.servedCost / float64(s.requests)
-	}
-	return s.requests, s.cacheHits, meanMicros
 }

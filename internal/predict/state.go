@@ -6,8 +6,8 @@ import (
 	"pond/internal/ml"
 )
 
-// CacheEntryState is one cached prediction, keyed by the serving cache
-// key (a (customer, workload) or (customer, features) hash).
+// CacheEntryState is one cached insensitivity score, keyed by its
+// (customer, workload) pair.
 type CacheEntryState struct {
 	Key        int64   `json:"key"`
 	Generation int     `json:"gen"`
@@ -15,74 +15,51 @@ type CacheEntryState struct {
 }
 
 // ServerState is the serializable state of a serving Server: the pinned
-// generation, the request accounting, and both prediction caches.
-// Models are installed separately (via Pin, from the mlops/fleetpipeline
-// model snapshots). The caches are semantic state, not a recomputable
-// memo: a cache key identifies a (customer, workload) pair while the
-// inputs (sampled counters, evolving history features) change between
-// requests, so within a generation the server intentionally serves the
-// score computed at the pair's FIRST request. Restoring the caches
-// empty would re-score later arrivals against their own fresher inputs
-// and diverge from the uninterrupted run.
+// generation and the named-pair insensitivity cache. Models are
+// installed separately (via Pin, from the mlops/fleetpipeline model
+// snapshots). The cache is semantic state, not a recomputable memo: its
+// key identifies a (customer, workload) pair while the sampled counters
+// change between requests, so within a generation the server serves the
+// score computed at the pair's FIRST request. Restoring it empty would
+// re-score later arrivals against their own fresher counters and diverge
+// from the uninterrupted run. Snapshots from older builds also carry
+// um_cache, request counters and opaque-VM entries in sens_cache; the
+// first three are dropped on decode, and the opaque entries are never
+// looked up again and go at the next generation.
 type ServerState struct {
-	Generation       int               `json:"generation"`
-	Requests         int64             `json:"requests,omitempty"`
-	CacheHits        int64             `json:"cache_hits,omitempty"`
-	ServedCostMicros float64           `json:"served_cost_micros,omitempty"`
-	SensCache        []CacheEntryState `json:"sens_cache,omitempty"`
-	UMCache          []CacheEntryState `json:"um_cache,omitempty"`
+	Generation int               `json:"generation"`
+	SensCache  []CacheEntryState `json:"sens_cache,omitempty"`
 }
 
-// cacheState flattens a prediction cache into a key-sorted slice so the
-// encoding is stable across map iteration orders.
-func cacheState(m map[int64]cachedScore) []CacheEntryState {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]CacheEntryState, 0, len(m))
-	for k, c := range m {
-		out = append(out, CacheEntryState{Key: k, Generation: c.generation, Value: c.value})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-func restoreCache(entries []CacheEntryState) map[int64]cachedScore {
-	m := make(map[int64]cachedScore, len(entries))
-	for _, e := range entries {
-		m[e.Key] = cachedScore{generation: e.Generation, value: e.Value}
-	}
-	return m
-}
-
-// State captures the server's counters and caches for serialization.
+// State captures the server's generation and cache for serialization,
+// key-sorted so the encoding is stable across map iteration orders.
 func (s *Server) State() ServerState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return ServerState{
-		Generation:       s.generation,
-		Requests:         s.requests,
-		CacheHits:        s.cacheHits,
-		ServedCostMicros: s.servedCost,
-		SensCache:        cacheState(s.sensCache),
-		UMCache:          cacheState(s.umCache),
+	st := ServerState{Generation: s.generation}
+	if len(s.sensCache) == 0 {
+		return st
 	}
+	st.SensCache = make([]CacheEntryState, 0, len(s.sensCache))
+	for k, c := range s.sensCache {
+		st.SensCache = append(st.SensCache, CacheEntryState{Key: k, Generation: c.generation, Value: c.value})
+	}
+	sort.Slice(st.SensCache, func(i, j int) bool { return st.SensCache[i].Key < st.SensCache[j].Key })
+	return st
 }
 
 // SetState restores the state captured by State. Call it after the
-// models have been re-installed with Pin. Restoring the full cache
-// contents also preserves the map sizes, so the wholesale eviction at
-// maxCacheEntries keeps firing at the same requests it would have in
-// the uninterrupted run.
+// models have been re-installed with Pin. Restoring the full cache also
+// preserves its size, so the wholesale wipe at maxCacheEntries fires at
+// the same insert it would have in the uninterrupted run.
 func (s *Server) SetState(st ServerState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.generation = st.Generation
-	s.requests = st.Requests
-	s.cacheHits = st.CacheHits
-	s.servedCost = st.ServedCostMicros
-	s.sensCache = restoreCache(st.SensCache)
-	s.umCache = restoreCache(st.UMCache)
+	s.sensCache = make(map[int64]cachedScore, len(st.SensCache))
+	for _, e := range st.SensCache {
+		s.sensCache[e.Key] = cachedScore{generation: e.Generation, value: e.Value}
+	}
 }
 
 // WrapForestModel adopts a deserialized forest as the insensitivity
