@@ -800,7 +800,7 @@ func barrierSchedule(o Options, fleetScoped bool) []barrier {
 	return bs
 }
 
-// Event kinds of the cell loop.
+// Event kinds of the cell loop (arrivals come from the stream, not the queue).
 const (
 	evArrive = iota
 	evDepart
@@ -813,7 +813,7 @@ type event struct {
 	at   float64
 	seq  int // banded tie-break (see the seq* bands below)
 	kind int
-	idx  int          // arrival or injection index
+	idx  int          // injection index
 	vm   cluster.VMID // departing VM
 }
 
@@ -931,6 +931,7 @@ type cellSim struct {
 	pinnedVer int
 
 	arrivals []cluster.VMRequest
+	nextArr  int // first arrival not yet processed
 	// arrSeed is the seed of the arrival-stream RNG fork, kept so a live
 	// drift or surge injection can regenerate the stream bit-identically
 	// to a batch run that had the injection from the start.
@@ -1067,21 +1068,15 @@ func newCellSim(cell int, o Options, insens predict.Insensitivity, threshold flo
 
 	// ForkSeed consumes exactly the one parent draw Fork(3) used to, so
 	// the arrival stream is unchanged — but keeping the seed lets a live
-	// injection regenerate the stream later (see regenerateArrivals).
+	// injection regenerate the stream later (see liveInject).
 	c.arrSeed = r.ForkSeed(3)
 	c.arrivals = generateArrivals(o, cell, c.arrSeed)
-	c.res.Arrivals = len(c.arrivals)
 	c.rPlace = r.Fork(4)
 
-	// Seed the queue: arrivals in time order, then injections, then the
-	// cell-scoped retrain ticks (fleet scope drives barriers externally).
-	// Presize the heap for every arrival plus its departure so steady
-	// state never regrows it, and the log for the expected line volume.
-	c.q = make(eventHeap, 0, 2*len(c.arrivals)+len(o.Injections)+8)
+	// Seed the queue: injections, then the cell-scoped retrain ticks
+	// (fleet scope drives barriers externally). Presize the log for the
+	// expected line volume.
 	c.log.Grow(96 * (2*len(c.arrivals) + 16))
-	for i := range c.arrivals {
-		c.pushSeq(event{at: c.arrivals[i].ArrivalSec, kind: evArrive, idx: i}, i)
-	}
 	for i, inj := range o.Injections {
 		c.pushSeq(event{at: inj.AtSec, kind: evInject, idx: i}, seqInjectBand+i)
 	}
@@ -1172,8 +1167,11 @@ func (c *cellSim) pushSeq(ev event, seq int) {
 // were added — and enqueued with the exact banded sequence number a
 // batch-scheduled injection at that index would have carried. Drift and
 // surge are baked into the pre-generated arrival stream, so those two
-// kinds also regenerate it.
-func (c *cellSim) liveInject(in Injection, now float64) {
+// kinds also regenerate it from the stored fork seed: the new stream is
+// what a batch run with the same injections draws, and its prefix before
+// the current time is unchanged (neither alters a draw before it fires),
+// so the cursor stays valid.
+func (c *cellSim) liveInject(in Injection) {
 	idx := len(c.o.Injections)
 	// Full-slice append: the seeded Options share one backing array
 	// across every cell's copy, so an in-place grow from one cell could
@@ -1182,41 +1180,7 @@ func (c *cellSim) liveInject(in Injection, now float64) {
 	c.o.Injections = append(c.o.Injections[:idx:idx], in)
 	c.pushSeq(event{at: in.AtSec, kind: evInject, idx: idx}, seqInjectBand+idx)
 	if in.Kind == InjectDrift || in.Kind == InjectSurge {
-		c.regenerateArrivals(now)
-	}
-}
-
-// regenerateArrivals rebuilds the arrival stream from the stored fork
-// seed after a live drift or surge changed the injection list. Because
-// generateArrivals is a pure function of (options, cell, seed), the
-// regenerated stream is exactly what a batch run with the same
-// injections would have drawn — and its pre-now prefix is unchanged,
-// since drift and surge only alter draws at or after their firing time
-// and a live injection cannot fire in the past. Every event already
-// processed therefore keeps its bytes; only the pending arrival events
-// need replacing.
-func (c *cellSim) regenerateArrivals(now float64) {
-	c.arrivals = generateArrivals(c.o, c.cell, c.arrSeed)
-	c.res.Arrivals = len(c.arrivals)
-	// Drop the stale pending arrivals, re-add those still due with their
-	// band-0 sequence numbers, and re-establish the heap invariant. The
-	// pop order depends only on the (at, seq) comparison — a strict
-	// total order — so a heapified queue pops the same sequence a batch
-	// run's incremental pushes would.
-	q := c.q[:0]
-	for _, ev := range c.q {
-		if ev.kind != evArrive {
-			q = append(q, ev)
-		}
-	}
-	for i := range c.arrivals {
-		if c.arrivals[i].ArrivalSec >= now {
-			q = append(q, event{at: c.arrivals[i].ArrivalSec, seq: i, kind: evArrive, idx: i})
-		}
-	}
-	c.q = q
-	for i := len(c.q)/2 - 1; i >= 0; i-- {
-		c.q.down(i)
+		c.arrivals = generateArrivals(c.o, c.cell, c.arrSeed)
 	}
 }
 
@@ -1398,8 +1362,9 @@ func (c *cellSim) planTick(now float64) {
 // stamped at or after it).
 func (c *cellSim) runUntil(tEnd float64, final bool) error {
 	o := c.o
-	for len(c.q) > 0 {
-		if next := c.q[0].at; next > tEnd || (!final && next == tEnd) {
+	for {
+		now, arrival, ok := c.nextEvent()
+		if !ok || now > tEnd || (!final && now == tEnd) {
 			break
 		}
 		// Emit metric samples due at or before the next event, before it
@@ -1408,56 +1373,15 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 		// slice ends (the tail call below), so the series is independent
 		// of how the horizon is sliced — a barrier's effects land before
 		// any row stamped at or after it, mirroring the event rule.
-		c.sampleMetricsUpTo(c.q[0].at, true)
+		c.sampleMetricsUpTo(now, true)
+		c.account(now)
+		if arrival {
+			c.nextArr++
+			c.arrive(now, c.nextArr-1)
+			continue
+		}
 		ev := c.q.popMin()
-		c.account(ev.at)
-		now := ev.at
 		switch ev.kind {
-		case evArrive:
-			vm := c.arrivals[ev.idx]
-			w := vm.GroundTruth.Workload
-
-			// Admission through the Figure 13 control plane: history
-			// counters when the customer has completed VMs before. The
-			// counter vector and feature slice are per-cell scratch —
-			// Decide and its shadow hooks consume them synchronously.
-			var counters *pmu.Vector
-			hist := c.store.CustomerHistory(vm.Customer, now+1, predict.HistoryWindowSec)
-			if hist.Count > 0 {
-				pmu.SampleInto(&c.ctrBuf, w, c.rPlace)
-				counters = &c.ctrBuf
-			}
-			c.featBuf = predict.UMFeaturesInto(c.featBuf[:0], vm, hist)
-			d := c.pipe.Decide(vm, counters, c.featBuf)
-			pr, perr := c.sched.Place(vm, d, now)
-			if perr != nil {
-				c.res.Rejected++
-				if obsv := c.observer(); obsv != nil {
-					obsv.ForgetVM(vm.ID)
-				}
-				c.logReject(now, &c.arrivals[ev.idx])
-				continue
-			}
-			if pr.FellBackToLocal {
-				// Record the draw the pool could not serve: demand above
-				// capacity is invisible to the usage telemetry, so the
-				// capacity controller needs the attempted size to grow past.
-				if a := int(c.lastPoolUsed + d.PoolGB + 0.5); a > c.attemptGB {
-					c.attemptGB = a
-				}
-				d = core.Decision{Kind: core.AllLocal, LocalGB: vm.Type.MemoryGB}
-			}
-			pmu.SampleInto(&c.ctrBuf, w, c.rPlace)
-			c.store.RecordSample(vm.ID, c.ctrBuf)
-			c.res.Placed++
-			c.placedGB += vm.Type.MemoryGB
-			c.placedPoolGB += pr.Placement.PoolGB
-			rv := c.newRunningVM()
-			rv.vm, rv.host, rv.dec = vm, pr.HostIndex, d
-			c.running[vm.ID] = rv
-			c.push(event{at: now + vm.LifetimeSec, kind: evDepart, vm: vm.ID})
-			c.logArrive(now, &c.arrivals[ev.idx], d.Kind, pr.HostIndex, pr.Placement.LocalGB, pr.Placement.PoolGB)
-
 		case evDepart:
 			st, ok := c.running[ev.vm]
 			if !ok {
@@ -1600,11 +1524,76 @@ func (c *cellSim) runUntil(tEnd float64, final bool) error {
 	return nil
 }
 
+// nextEvent returns the time of the cell's next event, and whether it is
+// the next arrival rather than the queue minimum (ok is false when none
+// is pending). An arrival's seq is its stream index, below every queued
+// band, so it wins a tie: the order one heap holding both would pop.
+func (c *cellSim) nextEvent() (at float64, arrival, ok bool) {
+	if c.nextArr < len(c.arrivals) {
+		at = c.arrivals[c.nextArr].ArrivalSec
+		if len(c.q) == 0 || at <= c.q[0].at {
+			return at, true, true
+		}
+	}
+	if len(c.q) == 0 {
+		return 0, false, false
+	}
+	return c.q[0].at, false, true
+}
+
+// arrive admits and places arrival i of the stream at time now.
+func (c *cellSim) arrive(now float64, i int) {
+	vm := c.arrivals[i]
+	w := vm.GroundTruth.Workload
+
+	// Admission through the Figure 13 control plane: history counters
+	// when the customer has completed VMs before. The counter vector and
+	// feature slice are per-cell scratch — Decide and its shadow hooks
+	// consume them synchronously.
+	var counters *pmu.Vector
+	hist := c.store.CustomerHistory(vm.Customer, now+1, predict.HistoryWindowSec)
+	if hist.Count > 0 {
+		pmu.SampleInto(&c.ctrBuf, w, c.rPlace)
+		counters = &c.ctrBuf
+	}
+	c.featBuf = predict.UMFeaturesInto(c.featBuf[:0], vm, hist)
+	d := c.pipe.Decide(vm, counters, c.featBuf)
+	pr, perr := c.sched.Place(vm, d, now)
+	if perr != nil {
+		c.res.Rejected++
+		if obsv := c.observer(); obsv != nil {
+			obsv.ForgetVM(vm.ID)
+		}
+		c.logReject(now, &c.arrivals[i])
+		return
+	}
+	if pr.FellBackToLocal {
+		// Record the draw the pool could not serve: demand above capacity
+		// is invisible to the usage telemetry, so the capacity controller
+		// needs the attempted size to grow past.
+		if a := int(c.lastPoolUsed + d.PoolGB + 0.5); a > c.attemptGB {
+			c.attemptGB = a
+		}
+		d = core.Decision{Kind: core.AllLocal, LocalGB: vm.Type.MemoryGB}
+	}
+	pmu.SampleInto(&c.ctrBuf, w, c.rPlace)
+	c.store.RecordSample(vm.ID, c.ctrBuf)
+	c.res.Placed++
+	c.placedGB += vm.Type.MemoryGB
+	c.placedPoolGB += pr.Placement.PoolGB
+	rv := c.newRunningVM()
+	rv.vm, rv.host, rv.dec = vm, pr.HostIndex, d
+	c.running[vm.ID] = rv
+	c.push(event{at: now + vm.LifetimeSec, kind: evDepart, vm: vm.ID})
+	c.logArrive(now, &c.arrivals[i], d.Kind, pr.HostIndex, pr.Placement.LocalGB, pr.Placement.PoolGB)
+}
+
 // finish integrates the tail accounting, renders the summary lines, and
 // returns the cell's result.
 func (c *cellSim) finish() (CellResult, error) {
 	o := c.o
 	c.account(o.DurationSec)
+	c.res.Arrivals = len(c.arrivals)
 
 	if o.DurationSec > 0 {
 		c.res.AvgCoreUtil = c.utilSec / o.DurationSec

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pond/internal/cluster"
 	"pond/internal/mlops/fleetpipeline"
 )
 
@@ -1112,5 +1113,47 @@ func TestIndivisiblePoolBanksNoPhantomSavings(t *testing.T) {
 	}
 	if strings.Contains(rep.EventLog, "elastic summary") {
 		t.Fatal("static run emitted an elastic summary line")
+	}
+}
+
+// TestNextEventMergesLikeOneHeap pins the merge of the arrival cursor
+// with the event queue against the single heap it replaced, where an
+// arrival carried its stream index as seq: at equal times an arrival
+// precedes every queued event, and otherwise time decides.
+func TestNextEventMergesLikeOneHeap(t *testing.T) {
+	c := &cellSim{arrivals: []cluster.VMRequest{{ArrivalSec: 10}, {ArrivalSec: 10}, {ArrivalSec: 20}, {ArrivalSec: 30}}}
+	var ref eventHeap
+	for i, vm := range c.arrivals {
+		ref = append(ref, event{at: vm.ArrivalSec, seq: i, kind: evArrive, idx: i})
+		ref.up(len(ref) - 1)
+	}
+	for _, ev := range []event{
+		{at: 10, seq: seqInjectBand, kind: evInject},
+		{at: 5, seq: seqRetrainBand, kind: evRetrain},
+		{at: 20, seq: seqRuntimeBand, kind: evDepart, vm: 1},
+		{at: 40, seq: seqRuntimeBand + 1, kind: evDepart, vm: 2},
+	} {
+		c.pushSeq(ev, ev.seq)
+		ref = append(ref, ev)
+		ref.up(len(ref) - 1)
+	}
+	for len(ref) > 0 {
+		want := ref.popMin()
+		at, arrival, ok := c.nextEvent()
+		if !ok {
+			t.Fatalf("merge ran dry before %+v", want)
+		}
+		got := event{at: at, kind: evArrive, idx: c.nextArr}
+		if arrival {
+			c.nextArr++
+		} else {
+			got = c.q.popMin()
+		}
+		if got.at != want.at || got.kind != want.kind || got.idx != want.idx || got.vm != want.vm {
+			t.Fatalf("merge popped %+v, one heap pops %+v", got, want)
+		}
+	}
+	if _, _, ok := c.nextEvent(); ok {
+		t.Fatal("merge has events left after the heap drained")
 	}
 }

@@ -225,7 +225,8 @@ func FuzzParseTopologies(f *testing.F) {
 // one without predictions. Restoring either of the first two trains the
 // bootstrap forest; the third skips it, so mutations of the
 // model-independent state run many times faster. The first also seeds a
-// copy whose server section has the older, memo-carrying shape.
+// copy in the shape an older build wrote: a memo-carrying server
+// section and a queue holding every future arrival.
 func fuzzSnapshotOptions() []Options {
 	o := DefaultOptions()
 	o.Cells = 1
@@ -245,10 +246,13 @@ func fuzzSnapshotOptions() []Options {
 }
 
 // FuzzRestoreSnapshot mutates real snapshots: json.Unmarshal followed by
-// RestoreRunner must return an error or a runner, never panic. Inputs
-// whose options differ from the seeds' are skipped, so a mutation cannot
-// ask for an arbitrarily large fleet; the target explores the captured
-// state and the SetState chain that installs it.
+// RestoreRunner must return an error or a runner, never panic, and a
+// restored runner must then run to its horizon without panicking (it
+// may fail with an error), so state that restores but cannot be
+// simulated is caught too. Inputs whose options differ from the seeds'
+// are skipped, so a mutation cannot ask for an arbitrarily large fleet
+// or horizon; the target explores the captured state and the SetState
+// chain that installs it.
 func FuzzRestoreSnapshot(f *testing.F) {
 	ctx := context.Background()
 	pinned := map[string]bool{}
@@ -276,11 +280,12 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		pinned[string(opts)] = true
 		f.Add(data)
 		if i == 0 {
-			parentShaped = withParentServerState(f, data)
+			addParentArrivals(f, snap)
+			parentShaped = withParentServerState(f, mustMarshal(f, snap))
 		}
 	}
-	// The first snapshot again, with the server section an older build
-	// wrote, so the fuzzer also explores the fields dropped on decode.
+	// The first snapshot again, in the shape an older build wrote, so
+	// the fuzzer also explores the fields and entries dropped on decode.
 	f.Add(parentShaped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Snapshot
@@ -297,5 +302,6 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if r == nil {
 			t.Fatal("RestoreRunner returned neither a runner nor an error")
 		}
+		_, _ = r.Finish(ctx) // an error is a clean refusal; a panic fails the target
 	})
 }

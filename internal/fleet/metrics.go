@@ -20,7 +20,7 @@ type MetricsRow struct {
 	// PoolUsedGB / PoolFreeGB split the cell's active pool capacity.
 	PoolUsedGB float64 `json:"pool_used_gb"`
 	PoolFreeGB float64 `json:"pool_free_gb"`
-	// PendingEvents is the cell event-queue depth.
+	// PendingEvents counts queued events plus arrivals not yet processed.
 	PendingEvents int `json:"pending_events"`
 	// PredErrEWMA is the exponentially-weighted mean absolute error of
 	// the pool-placement prediction against ground-truth untouched
@@ -85,7 +85,7 @@ func (c *cellSim) sampleMetrics(at float64) {
 		LiveVMs:       len(c.running),
 		PoolUsedGB:    poolUsed,
 		PoolFreeGB:    free,
-		PendingEvents: len(c.q),
+		PendingEvents: len(c.q) + len(c.arrivals) - c.nextArr,
 		PredErrEWMA:   c.predErrEWMA,
 	}
 	if c.ringLen == len(c.ring) {

@@ -281,7 +281,7 @@ func (r *Runner) AddInjection(in Injection) error {
 		return err
 	}
 	for _, s := range r.sims {
-		s.liveInject(in, r.now)
+		s.liveInject(in)
 	}
 	r.o = o
 	return nil
@@ -339,6 +339,7 @@ type Progress struct {
 	DurationSec float64 `json:"duration_sec"`
 	Done        bool    `json:"done"`
 
+	// Arrivals counts the arrivals processed so far.
 	Arrivals int `json:"arrivals"`
 	Placed   int `json:"placed"`
 	Rejected int `json:"rejected"`
@@ -367,7 +368,7 @@ func (r *Runner) Progress() Progress {
 	p := Progress{NowSec: r.now, DurationSec: r.o.DurationSec, Done: r.done,
 		Injections: len(r.o.Injections)}
 	for _, s := range r.sims {
-		p.Arrivals += s.res.Arrivals
+		p.Arrivals += s.nextArr
 		p.Placed += s.res.Placed
 		p.Rejected += s.res.Rejected
 		p.Departed += s.res.Departed

@@ -211,7 +211,8 @@ func TestRunnerAddInjectionValidation(t *testing.T) {
 }
 
 // TestRunnerProgress checks the safe-point snapshot advances with the
-// clock and the counters move.
+// clock and the counters move: arrivals count only those processed so
+// far, reaching the report's whole-stream count at the horizon.
 func TestRunnerProgress(t *testing.T) {
 	ctx := context.Background()
 	o := testOptions()
@@ -220,22 +221,26 @@ func TestRunnerProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := r.Progress()
-	if p.NowSec != 0 || p.Done || p.Arrivals == 0 {
+	if p.NowSec != 0 || p.Done || p.Arrivals != 0 {
 		t.Fatalf("fresh runner progress: %+v", p)
 	}
 	if err := r.Advance(ctx, 200); err != nil {
 		t.Fatal(err)
 	}
 	mid := r.Progress()
-	if mid.NowSec != 200 || mid.Placed == 0 {
+	if mid.NowSec != 200 || mid.Placed == 0 || mid.Arrivals == 0 {
 		t.Fatalf("mid-run progress: %+v", mid)
 	}
-	if _, err := r.Finish(ctx); err != nil {
+	rep, err := r.Finish(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
 	end := r.Progress()
-	if !end.Done || end.NowSec != o.DurationSec {
-		t.Fatalf("end progress: %+v", end)
+	if !end.Done || end.NowSec != o.DurationSec || end.Arrivals != rep.Arrivals {
+		t.Fatalf("end progress: %+v, report arrivals %d", end, rep.Arrivals)
+	}
+	if mid.Arrivals >= end.Arrivals {
+		t.Fatalf("arrivals did not advance: mid=%d end=%d", mid.Arrivals, end.Arrivals)
 	}
 	if end.Departed <= mid.Departed {
 		t.Fatalf("departures did not advance: mid=%d end=%d", mid.Departed, end.Departed)

@@ -33,11 +33,11 @@ const SnapshotVersion = 1
 // how much simulated time had already elapsed: nothing is re-simulated.
 //
 // The capture rule: dynamic state that affects future events or the
-// final report is carried (RNG vectors, the event heap verbatim,
-// occupancy, accumulated telemetry and models, accounting integrals,
-// log digests); anything derivable from the normalized Options is
-// rebuilt (topology, arrival streams from their fork seeds, the trained
-// bootstrap insensitivity model), and scratch freelists restore empty.
+// final report is carried (RNG vectors, the event queue, occupancy,
+// accumulated telemetry and models, accounting integrals, log digests);
+// anything derivable from the Options and the clock is rebuilt (topology,
+// arrival streams and their cursors, the trained bootstrap insensitivity
+// model), and scratch freelists restore empty.
 type Snapshot struct {
 	Version     int     `json:"version"`
 	Options     Options `json:"options"`
@@ -61,9 +61,10 @@ type LogStream struct {
 	Compacted int    `json:"compacted,omitempty"`
 }
 
-// EventState is one pending event of a cell's queue. The heap's backing
-// array is carried verbatim (it already satisfies the heap invariant),
-// so restore is a straight copy.
+// EventState is one pending event of a cell's queue: a departure, an
+// injection (Idx into the injection list) or a retrain tick. Restore
+// drops the kind-0 arrival entries older builds wrote, checks the rest
+// and re-heapifies them.
 type EventState struct {
 	At   float64      `json:"at"`
 	Seq  int          `json:"seq"`
@@ -325,7 +326,7 @@ func RestoreRunner(ctx context.Context, s *Snapshot) (*Runner, error) {
 		return nil, fmt.Errorf("fleet: fleet-scoped options but snapshot carries no release train")
 	}
 	for i := range r.sims {
-		if err := r.sims[i].restoreState(s.Cells[i], r.fp); err != nil {
+		if err := r.sims[i].restoreState(s.Cells[i], r.fp, s.NowSec); err != nil {
 			return nil, err
 		}
 		r.marks[i] = s.Cells[i].Log.Mark
@@ -335,7 +336,7 @@ func RestoreRunner(ctx context.Context, s *Snapshot) (*Runner, error) {
 
 // restoreState overwrites the freshly built cell with the snapshot's
 // dynamic state. fp is the restored release train under fleet scope.
-func (c *cellSim) restoreState(cs CellState, fp *fleetpipeline.Manager) error {
+func (c *cellSim) restoreState(cs CellState, fp *fleetpipeline.Manager, now float64) error {
 	if cs.Cell != c.cell {
 		return fmt.Errorf("cell %d: snapshot state is for cell %d", c.cell, cs.Cell)
 	}
@@ -349,9 +350,31 @@ func (c *cellSim) restoreState(cs CellState, fp *fleetpipeline.Manager) error {
 		return fmt.Errorf("cell %d: placement rng: %w", c.cell, err)
 	}
 
+	// The run has processed exactly the arrivals before its clock; a done
+	// run's clock is the horizon, past every arrival.
+	c.nextArr = sort.Search(len(c.arrivals), func(i int) bool { return c.arrivals[i].ArrivalSec >= now })
 	c.q = c.q[:0]
 	for _, es := range cs.Heap {
+		switch es.Kind {
+		case evArrive:
+			continue // an older build's queued arrival; the cursor covers it
+		case evDepart:
+		case evInject:
+			if es.Idx < 0 || es.Idx >= len(c.o.Injections) {
+				return fmt.Errorf("cell %d: snapshot queues injection %d of %d", c.cell, es.Idx, len(c.o.Injections))
+			}
+		case evRetrain:
+			if c.mgr == nil || c.o.RetrainEverySec <= 0 {
+				return fmt.Errorf("cell %d: snapshot queues a retrain tick but the cell does not retrain", c.cell)
+			}
+		default:
+			return fmt.Errorf("cell %d: snapshot queues an event of unknown kind %d", c.cell, es.Kind)
+		}
 		c.q = append(c.q, event{at: es.At, seq: es.Seq, kind: es.Kind, idx: es.Idx, vm: es.VM})
+	}
+	// (at, seq) is a strict order, so heapifying keeps the pop order.
+	for i := len(c.q)/2 - 1; i >= 0; i-- {
+		c.q.down(i)
 	}
 	c.seq = cs.Seq
 	c.running = make(map[cluster.VMID]*runningVM, len(cs.Running))

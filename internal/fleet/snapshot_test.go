@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -102,15 +103,22 @@ func checkNoTrainingRows(t *testing.T, s *Snapshot) {
 }
 
 // parentServerState is the server section older builds wrote: request
-// counters, an untouched-memory memo cache, and opaque-VM memo entries
-// mixed into sens_cache.
+// counters, an untouched-memory memo cache, opaque-VM memo entries
+// mixed into sens_cache, and a generation on every cache entry.
 type parentServerState struct {
-	Generation       int                       `json:"generation"`
-	Requests         int64                     `json:"requests"`
-	CacheHits        int64                     `json:"cache_hits"`
-	ServedCostMicros float64                   `json:"served_cost_micros"`
-	SensCache        []predict.CacheEntryState `json:"sens_cache,omitempty"`
-	UMCache          []predict.CacheEntryState `json:"um_cache"`
+	Generation       int                `json:"generation"`
+	Requests         int64              `json:"requests"`
+	CacheHits        int64              `json:"cache_hits"`
+	ServedCostMicros float64            `json:"served_cost_micros"`
+	SensCache        []parentCacheEntry `json:"sens_cache,omitempty"`
+	UMCache          []parentCacheEntry `json:"um_cache"`
+}
+
+// parentCacheEntry is a cache entry as older builds wrote it.
+type parentCacheEntry struct {
+	Key        int64   `json:"key"`
+	Generation int     `json:"gen"`
+	Value      float64 `json:"value"`
 }
 
 // withParentServerState rewrites every cell's server section of a
@@ -136,24 +144,57 @@ func withParentServerState(tb testing.TB, wire []byte) []byte {
 			tb.Fatal(err)
 		}
 		named := map[int64]bool{}
+		old := parentServerState{Generation: st.Generation, Requests: 1000, CacheHits: 400, ServedCostMicros: 72800}
 		for _, e := range st.SensCache {
 			named[e.Key] = true
+			old.SensCache = append(old.SensCache, parentCacheEntry{Key: e.Key, Generation: st.Generation, Value: e.Value})
 		}
-		old := parentServerState{Generation: st.Generation, Requests: 1000, CacheHits: 400, ServedCostMicros: 72800, SensCache: st.SensCache}
 		for k := uint64(0); k < 8; k++ {
 			opaque := stats.NewDigest().Word(0x0dead).Word(uint64(i)).Word(k).Sum()
 			um := stats.NewDigest().Word(0x1dead).Word(uint64(i)).Word(k).Sum()
 			if named[opaque] {
 				tb.Fatalf("cell %d: opaque key %d collides with a named pair", i, opaque)
 			}
-			old.SensCache = append(old.SensCache, predict.CacheEntryState{Key: opaque, Generation: st.Generation, Value: 0.999})
-			old.UMCache = append(old.UMCache, predict.CacheEntryState{Key: um, Generation: st.Generation, Value: 0.999})
+			old.SensCache = append(old.SensCache, parentCacheEntry{Key: opaque, Generation: st.Generation, Value: 0.999})
+			old.UMCache = append(old.UMCache, parentCacheEntry{Key: um, Generation: st.Generation, Value: 0.999})
 		}
 		sort.Slice(old.SensCache, func(a, b int) bool { return old.SensCache[a].Key < old.SensCache[b].Key })
 		c["server"] = mustMarshal(tb, old)
 	}
 	snap["cells"] = mustMarshal(tb, cells)
 	return mustMarshal(tb, snap)
+}
+
+// addParentArrivals gives every cell's queue the arrival entries an
+// older build stored there: one kind-0 entry, seq and idx equal to its
+// stream index, per arrival at or after the snapshot's clock. The queue
+// is then reversed, so restore must re-heapify rather than trust the
+// layout. It fails if the snapshot already queued an arrival.
+func addParentArrivals(tb testing.TB, s *Snapshot) {
+	tb.Helper()
+	checkNoQueuedArrivals(tb, s)
+	for i := range s.Cells {
+		c := &s.Cells[i]
+		arr := generateArrivals(s.Options, c.Cell, c.ArrSeed)
+		for k := range arr {
+			if arr[k].ArrivalSec >= s.NowSec {
+				c.Heap = append(c.Heap, EventState{At: arr[k].ArrivalSec, Seq: k, Kind: evArrive, Idx: k})
+			}
+		}
+		slices.Reverse(c.Heap)
+	}
+}
+
+// checkNoQueuedArrivals fails if any cell's queue carries an arrival.
+func checkNoQueuedArrivals(tb testing.TB, s *Snapshot) {
+	tb.Helper()
+	for i, c := range s.Cells {
+		for _, es := range c.Heap {
+			if es.Kind == evArrive {
+				tb.Fatalf("cell %d: snapshot queues arrival %d at t=%g", i, es.Idx, es.At)
+			}
+		}
+	}
 }
 
 func mustMarshal(tb testing.TB, v any) []byte {
@@ -170,7 +211,7 @@ func mustMarshal(tb testing.TB, v any) []byte {
 func checkNoParentServerFields(t *testing.T, s *Snapshot) {
 	t.Helper()
 	wire := mustMarshal(t, s)
-	for _, field := range []string{"um_cache", "requests", "cache_hits", "served_cost_micros"} {
+	for _, field := range []string{"um_cache", "requests", "cache_hits", "served_cost_micros", "gen"} {
 		if bytes.Contains(wire, []byte(`"`+field+`"`)) {
 			t.Fatalf("re-captured snapshot carries %q", field)
 		}
@@ -242,6 +283,9 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 					// of the remaining run.
 					addDeadTrainingRows(t, &loaded)
 				}
+				// Older builds also queued every future arrival; the
+				// restore must drop them in favour of the stream cursor.
+				addParentArrivals(t, &loaded)
 
 				restored, err := RestoreRunner(ctx, &loaded)
 				if err != nil {
@@ -255,6 +299,7 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkNoParentServerFields(t, again)
+				checkNoQueuedArrivals(t, again)
 				if monitorOnly(o) {
 					checkNoTrainingRows(t, again)
 				}
@@ -380,6 +425,177 @@ func TestRestoreRejectsVersionAndShape(t *testing.T) {
 	}
 	if _, err := RestoreRunner(ctx, nil); err == nil {
 		t.Fatal("nil snapshot accepted")
+	}
+}
+
+// TestRestoreRejectsMalformedQueue pins that a queue entry the run
+// cannot process fails the restore, instead of restoring and then
+// panicking on the next Advance, while an older build's arrival entry —
+// whatever index it names — is dropped for the stream cursor.
+func TestRestoreRejectsMalformedQueue(t *testing.T) {
+	o := testOptions()
+	o.Injections = mustParseInjections("emc-fail@t=300")
+	ctx := context.Background()
+	batch, err := Run(ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// withEntry snapshots a run of opts at t=100 and queues es in cell 1.
+	withEntry := func(opts Options, es EventState) *Snapshot {
+		t.Helper()
+		r, err := NewRunner(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Advance(ctx, 100); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s Snapshot
+		if err := json.Unmarshal(mustMarshal(t, snap), &s); err != nil {
+			t.Fatal(err)
+		}
+		s.Cells[1].Heap = append(s.Cells[1].Heap, es)
+		return &s
+	}
+	monitor := o
+	monitor.Predictions = true
+	tick := EventState{At: 150, Seq: seqRetrainBand, Kind: evRetrain}
+	for name, bad := range map[string]*Snapshot{
+		"unknown-kind":        withEntry(o, EventState{At: 150, Seq: seqRuntimeBand + 1<<20, Kind: evRetrain + 1}),
+		"injection-past-list": withEntry(o, EventState{At: 150, Seq: seqInjectBand + 99, Kind: evInject, Idx: 99}),
+		"negative-injection":  withEntry(o, EventState{At: 150, Seq: seqInjectBand + 98, Kind: evInject, Idx: -1}),
+		"retrain-no-manager":  withEntry(o, tick),
+		"retrain-monitor":     withEntry(monitor, tick),
+	} {
+		t.Run(name, func(t *testing.T) {
+			restored, err := RestoreRunner(ctx, bad)
+			if err == nil {
+				_, ferr := restored.Finish(ctx)
+				t.Fatalf("restore accepted the entry (finish: %v)", ferr)
+			}
+		})
+	}
+	restored, err := RestoreRunner(ctx, withEntry(o, EventState{At: 150, Seq: 1 << 30, Kind: evArrive, Idx: 1 << 30}))
+	if err != nil {
+		t.Fatalf("older build's arrival entry refused: %v", err)
+	}
+	rep, err := restored.Finish(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LogSHA256 != batch.LogSHA256 {
+		t.Fatalf("run restored past a stale arrival entry hashes %s, batch %s", rep.LogSHA256, batch.LogSHA256)
+	}
+}
+
+// TestRestoredRunTakesLiveArrivalInjections restores a run through the
+// wire form, then adds a live surge and a live drift: both regenerate
+// the arrival stream under the restored cursor, and the run must still
+// finish on the batch hash of the options with both appended.
+func TestRestoredRunTakesLiveArrivalInjections(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			o := testOptions()
+			o.Workers = workers
+			o.Injections = mustParseInjections("host-drain@t=120:host=1")
+			ctx := context.Background()
+			r, err := NewRunner(ctx, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Advance(ctx, 150); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := r.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var loaded Snapshot
+			if err := json.Unmarshal(mustMarshal(t, snap), &loaded); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := RestoreRunner(ctx, &loaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range mustParseInjections("surge@t=180:dur=100:x=3,drift@t=220:mag=0.6") {
+				if err := restored.AddInjection(in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := restored.Advance(ctx, 250); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := restored.Finish(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(restored.Options().Injections); n != 3 {
+				t.Fatalf("restored run lists %d injections, want 3", n)
+			}
+			batch, err := Run(ctx, restored.Options())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.LogSHA256 != batch.LogSHA256 {
+				t.Fatalf("restored run with live surge and drift hashes %s, batch %s", rep.LogSHA256, batch.LogSHA256)
+			}
+			if rep.Arrivals != batch.Arrivals {
+				t.Fatalf("restored run counts %d arrivals, batch %d", rep.Arrivals, batch.Arrivals)
+			}
+		})
+	}
+}
+
+// TestSnapshotQueueTracksLiveState bounds the snapshot's queue by the
+// run's live state: at every hold each cell queues at most one
+// departure per running VM or per VM an EMC failure released (their
+// departures stay queued and are skipped when popped), plus the
+// injections and retrain ticks not yet fired — never the future
+// arrivals.
+func TestSnapshotQueueTracksLiveState(t *testing.T) {
+	o := testOptions()
+	o.Predictions = true
+	o.RetrainEverySec = 100
+	o.MinTrainRows = 16
+	o.Injections = mustParseInjections("surge@t=50:dur=100:x=3,emc-fail@t=200,host-drain@t=300:host=1")
+	ctx := context.Background()
+	r, err := NewRunner(ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hold := range []float64{0, 75, 150, 250, 350} {
+		if err := r.Advance(ctx, hold); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkNoQueuedArrivals(t, snap)
+		injections := 0
+		for _, in := range snap.Options.Injections {
+			if in.AtSec >= hold {
+				injections++
+			}
+		}
+		ticks := 0
+		for tick := o.RetrainEverySec; tick <= o.DurationSec; tick += o.RetrainEverySec {
+			if tick >= hold {
+				ticks++
+			}
+		}
+		for i, c := range snap.Cells {
+			bound := len(c.Running) + c.Result.BlastVMs + injections + ticks
+			if len(c.Heap) > bound {
+				t.Fatalf("t=%g cell %d: %d queued events, live bound %d (running %d, blast %d, injections %d, ticks %d)",
+					hold, i, len(c.Heap), bound, len(c.Running), c.Result.BlastVMs, injections, ticks)
+			}
+		}
 	}
 }
 

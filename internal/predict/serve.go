@@ -22,26 +22,22 @@ type Server struct {
 	insens Insensitivity
 	um     Untouched
 
-	// generation invalidates the cache when models are swapped (nightly
-	// retrain, §4.4).
+	// generation numbers the installed models (nightly retrain, §4.4).
+	// Every install replaces the cache wholesale, so all its entries
+	// belong to the current generation.
 	generation int
 
-	sensCache map[int64]cachedScore
+	sensCache map[int64]float64
 }
 
 var errNoInsens = errors.New("predict: no insensitivity model installed")
-
-type cachedScore struct {
-	generation int
-	value      float64
-}
 
 // NewServer wraps the given models.
 func NewServer(insens Insensitivity, um Untouched) *Server {
 	return &Server{
 		insens:    insens,
 		um:        um,
-		sensCache: make(map[int64]cachedScore),
+		sensCache: make(map[int64]float64),
 	}
 }
 
@@ -59,7 +55,7 @@ func (s *Server) Swap(insens Insensitivity, um Untouched) {
 	s.insens = insens
 	s.um = um
 	s.generation++
-	s.sensCache = make(map[int64]cachedScore)
+	s.sensCache = make(map[int64]float64)
 }
 
 // Pin installs the models of one distributed release under an explicit,
@@ -79,7 +75,7 @@ func (s *Server) Pin(generation int, insens Insensitivity, um Untouched) {
 	s.insens = insens
 	s.um = um
 	s.generation = generation
-	s.sensCache = make(map[int64]cachedScore)
+	s.sensCache = make(map[int64]float64)
 }
 
 // Generation returns the serving generation: the release version pinned
@@ -110,14 +106,14 @@ func (s *Server) ScoreNamed(pair int64, v pmu.Vector) (float64, error) {
 	if s.insens == nil {
 		return 0, errNoInsens
 	}
-	if c, ok := s.sensCache[pair]; ok && c.generation == s.generation {
-		return c.value, nil
+	if score, ok := s.sensCache[pair]; ok {
+		return score, nil
 	}
 	score := s.insens.Score(v)
 	if len(s.sensCache) >= maxCacheEntries {
-		s.sensCache = make(map[int64]cachedScore)
+		s.sensCache = make(map[int64]float64)
 	}
-	s.sensCache[pair] = cachedScore{generation: s.generation, value: score}
+	s.sensCache[pair] = score
 	return score, nil
 }
 

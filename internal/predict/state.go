@@ -7,11 +7,11 @@ import (
 )
 
 // CacheEntryState is one cached insensitivity score, keyed by its
-// (customer, workload) pair.
+// (customer, workload) pair. Every entry belongs to the state's
+// generation; the per-entry "gen" older builds wrote is ignored.
 type CacheEntryState struct {
-	Key        int64   `json:"key"`
-	Generation int     `json:"gen"`
-	Value      float64 `json:"value"`
+	Key   int64   `json:"key"`
+	Value float64 `json:"value"`
 }
 
 // ServerState is the serializable state of a serving Server: the pinned
@@ -41,8 +41,8 @@ func (s *Server) State() ServerState {
 		return st
 	}
 	st.SensCache = make([]CacheEntryState, 0, len(s.sensCache))
-	for k, c := range s.sensCache {
-		st.SensCache = append(st.SensCache, CacheEntryState{Key: k, Generation: c.generation, Value: c.value})
+	for k, v := range s.sensCache {
+		st.SensCache = append(st.SensCache, CacheEntryState{Key: k, Value: v})
 	}
 	sort.Slice(st.SensCache, func(i, j int) bool { return st.SensCache[i].Key < st.SensCache[j].Key })
 	return st
@@ -56,9 +56,9 @@ func (s *Server) SetState(st ServerState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.generation = st.Generation
-	s.sensCache = make(map[int64]cachedScore, len(st.SensCache))
+	s.sensCache = make(map[int64]float64, len(st.SensCache))
 	for _, e := range st.SensCache {
-		s.sensCache[e.Key] = cachedScore{generation: e.Generation, value: e.Value}
+		s.sensCache[e.Key] = e.Value
 	}
 }
 
