@@ -1074,8 +1074,15 @@ func newCellSim(cell int, o Options, insens predict.Insensitivity, threshold flo
 	c.rPlace = r.Fork(4)
 
 	// Seed the queue: injections, then the cell-scoped retrain ticks
-	// (fleet scope drives barriers externally). Presize the log for the
-	// expected line volume.
+	// (fleet scope drives barriers externally). Presize it for the
+	// injections plus the departures of the VMs running at once (Little's
+	// law: the stream's arrival rate times its mean lifetime), and the log
+	// for the expected line volume.
+	var lifeSec float64
+	for i := range c.arrivals {
+		lifeSec += c.arrivals[i].LifetimeSec
+	}
+	c.q = make(eventHeap, 0, min(len(c.arrivals), int(lifeSec/o.DurationSec))+len(o.Injections))
 	c.log.Grow(96 * (2*len(c.arrivals) + 16))
 	for i, inj := range o.Injections {
 		c.pushSeq(event{at: inj.AtSec, kind: evInject, idx: i}, seqInjectBand+i)

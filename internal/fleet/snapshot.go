@@ -35,9 +35,9 @@ const SnapshotVersion = 1
 // The capture rule: dynamic state that affects future events or the
 // final report is carried (RNG vectors, the event queue, occupancy,
 // accumulated telemetry and models, accounting integrals, log digests);
-// anything derivable from the Options and the clock is rebuilt (topology,
-// arrival streams and their cursors, the trained bootstrap insensitivity
-// model), and scratch freelists restore empty.
+// the rest is rebuilt from the Options and that state (topology, arrival
+// streams from fork seeds, cursors from placed and rejected counts, the
+// trained bootstrap insensitivity model); scratch freelists restore empty.
 type Snapshot struct {
 	Version     int     `json:"version"`
 	Options     Options `json:"options"`
@@ -61,10 +61,9 @@ type LogStream struct {
 	Compacted int    `json:"compacted,omitempty"`
 }
 
-// EventState is one pending event of a cell's queue: a departure, an
-// injection (Idx into the injection list) or a retrain tick. Restore
-// drops the kind-0 arrival entries older builds wrote, checks the rest
-// and re-heapifies them.
+// EventState is one pending departure, injection (Idx into the injection
+// list) or retrain tick. Restore drops the kind-0 arrival entries older
+// builds wrote, checks the rest and re-heapifies them.
 type EventState struct {
 	At   float64      `json:"at"`
 	Seq  int          `json:"seq"`
@@ -326,7 +325,7 @@ func RestoreRunner(ctx context.Context, s *Snapshot) (*Runner, error) {
 		return nil, fmt.Errorf("fleet: fleet-scoped options but snapshot carries no release train")
 	}
 	for i := range r.sims {
-		if err := r.sims[i].restoreState(s.Cells[i], r.fp, s.NowSec); err != nil {
+		if err := r.sims[i].restoreState(s.Cells[i], r.fp); err != nil {
 			return nil, err
 		}
 		r.marks[i] = s.Cells[i].Log.Mark
@@ -336,7 +335,7 @@ func RestoreRunner(ctx context.Context, s *Snapshot) (*Runner, error) {
 
 // restoreState overwrites the freshly built cell with the snapshot's
 // dynamic state. fp is the restored release train under fleet scope.
-func (c *cellSim) restoreState(cs CellState, fp *fleetpipeline.Manager, now float64) error {
+func (c *cellSim) restoreState(cs CellState, fp *fleetpipeline.Manager) error {
 	if cs.Cell != c.cell {
 		return fmt.Errorf("cell %d: snapshot state is for cell %d", c.cell, cs.Cell)
 	}
@@ -350,9 +349,13 @@ func (c *cellSim) restoreState(cs CellState, fp *fleetpipeline.Manager, now floa
 		return fmt.Errorf("cell %d: placement rng: %w", c.cell, err)
 	}
 
-	// The run has processed exactly the arrivals before its clock; a done
-	// run's clock is the horizon, past every arrival.
-	c.nextArr = sort.Search(len(c.arrivals), func(i int) bool { return c.arrivals[i].ArrivalSec >= now })
+	// Each processed arrival was placed or rejected: the counts are the
+	// cell's own cursor, also when a cancelled Advance tore the cells apart.
+	c.nextArr = cs.Result.Placed + cs.Result.Rejected
+	if cs.Result.Placed < 0 || cs.Result.Rejected < 0 || c.nextArr < 0 || c.nextArr > len(c.arrivals) {
+		return fmt.Errorf("cell %d: snapshot counts %d placed and %d rejected of %d arrivals",
+			c.cell, cs.Result.Placed, cs.Result.Rejected, len(c.arrivals))
+	}
 	c.q = c.q[:0]
 	for _, es := range cs.Heap {
 		switch es.Kind {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -479,6 +481,19 @@ func TestRestoreRejectsMalformedQueue(t *testing.T) {
 			}
 		})
 	}
+	for name, edit := range map[string]func(*CellResult){
+		"counts-past-stream": func(res *CellResult) { res.Placed = 1 << 30 },
+		"negative-count":     func(res *CellResult) { res.Placed, res.Rejected = -1, res.Placed+res.Rejected+1 },
+		"count-overflow":     func(res *CellResult) { res.Placed, res.Rejected = math.MaxInt, 1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := withEntry(o, EventState{At: 150, Seq: 1 << 30, Kind: evArrive, Idx: 1 << 30})
+			edit(&bad.Cells[1].Result)
+			if _, err := RestoreRunner(ctx, bad); err == nil {
+				t.Fatal("restore accepted arrival counts that are no cursor")
+			}
+		})
+	}
 	restored, err := RestoreRunner(ctx, withEntry(o, EventState{At: 150, Seq: 1 << 30, Kind: evArrive, Idx: 1 << 30}))
 	if err != nil {
 		t.Fatalf("older build's arrival entry refused: %v", err)
@@ -489,6 +504,89 @@ func TestRestoreRejectsMalformedQueue(t *testing.T) {
 	}
 	if rep.LogSHA256 != batch.LogSHA256 {
 		t.Fatalf("run restored past a stale arrival entry hashes %s, batch %s", rep.LogSHA256, batch.LogSHA256)
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its (n+1)th
+// Err call on: at workers 1 the engine checks it before each cell, so an
+// Advance under it runs exactly the first n cells.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n > 0 {
+		c.n--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestRestoreTornAdvance snapshots a runner whose Advance was cancelled
+// after its first cell, as a daemon shutdown can leave it: cell 0 has run
+// to the target while the other cells and the runner's clock have not.
+// The restored run must admit none of cell 0's processed arrivals again
+// and finish on the batch hash.
+func TestRestoreTornAdvance(t *testing.T) {
+	o := testOptions()
+	o.Workers = 1
+	ctx := context.Background()
+	batch, err := Run(ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Advance(ctx, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Advance(&cancelAfter{Context: ctx, n: 1}, 250); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled advance returned %v", err)
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.NowSec != 100 {
+		t.Fatalf("torn runner's clock reads %g, want 100", snap.NowSec)
+	}
+	c0 := snap.Cells[0]
+	before := 0
+	for _, vm := range generateArrivals(snap.Options, c0.Cell, c0.ArrSeed) {
+		if vm.ArrivalSec < snap.NowSec {
+			before++
+		}
+	}
+	if done := c0.Result.Placed + c0.Result.Rejected; done <= before {
+		t.Fatalf("cell 0 processed %d arrivals, %d before the clock: the advance was not torn", done, before)
+	}
+	wire := mustMarshal(t, snap)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var loaded Snapshot
+			if err := json.Unmarshal(wire, &loaded); err != nil {
+				t.Fatal(err)
+			}
+			loaded.Options.Workers = workers
+			restored, err := RestoreRunner(ctx, &loaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := restored.Finish(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.LogSHA256 != batch.LogSHA256 {
+				t.Fatalf("torn snapshot's run hashes %s, batch %s", rep.LogSHA256, batch.LogSHA256)
+			}
+			if rep.Arrivals != batch.Arrivals || rep.Placed != batch.Placed {
+				t.Fatalf("torn snapshot's run: %d arrivals, %d placed; batch %d, %d",
+					rep.Arrivals, rep.Placed, batch.Arrivals, batch.Placed)
+			}
+		})
 	}
 }
 
